@@ -49,7 +49,7 @@ pub struct RunArgs {
     pub node_limit: usize,
     /// Per-step time limit in seconds.
     pub time_limit: f64,
-    /// Solver threads (None = available parallelism).
+    /// Solver threads (None = the serial default of `SolveOptions`).
     pub threads: Option<usize>,
     /// Global routing algorithm.
     pub route: Option<RouteAlgorithm>,

@@ -53,7 +53,7 @@ fn cmd_run(args: &RunArgs) -> Result<(), String> {
         .with_envelopes(args.envelopes)
         .with_rotation(args.rotation)
         .with_step_options({
-            // Default thread count (no --threads): available parallelism.
+            // Default thread count (no --threads): the serial solver.
             let mut opts = fp_milp::SolveOptions::default()
                 .with_node_limit(args.node_limit)
                 .with_time_limit(Duration::from_secs_f64(args.time_limit));

@@ -2,19 +2,23 @@
 //!
 //! When the relative position of every module pair is known, all integer
 //! variables vanish: for each pair only the single active non-overlap
-//! inequality is kept, leaving a pure LP with `2K` continuous variables and
-//! `O(K)` constraints. The paper proposes this for shape optimization; here
-//! it also serves as a **compaction pass** — re-solving the entire chip's
-//! coordinates (and flexible shapes) at once after successive augmentation,
-//! something the per-step MILPs cannot do globally.
+//! inequality is kept, leaving a pure LP with `2K` position variables (plus
+//! one `Δw` per flexible module) and `K(K−1)/2 + 2K` rows — one non-overlap
+//! row per pair and two chip-bound rows per module, plus four distance rows
+//! per connected pair under a wirelength objective. The paper proposes this
+//! for shape optimization; here it also serves as a **compaction pass** —
+//! re-solving the entire chip's coordinates (and flexible shapes) at once
+//! after successive augmentation, something the per-step MILPs cannot do
+//! globally.
 
 use crate::config::FloorplanConfig;
 use crate::envelope::ShapeSpec;
 use crate::error::FloorplanError;
 use crate::placement::{Floorplan, PlacedModule};
 use fp_geom::GEOM_EPS;
-use fp_milp::{LinExpr, Model, Sense};
+use fp_milp::{LinExpr, Model, Sense, SolveError, SolveOptions};
 use fp_netlist::Netlist;
+use std::time::Instant;
 
 /// The relative position of an ordered module pair `(i, j)` — which of the
 /// four disjuncts of system (2) is active.
@@ -74,6 +78,11 @@ pub fn extract_topology(
 ///
 /// The result is never taller than the input (the input is feasible for the
 /// LP), which the integration tests assert.
+///
+/// The LP runs on the rest of the run budget: its time limit is clamped to
+/// [`FloorplanConfig::deadline`] and it polls [`FloorplanConfig::stop`]. A
+/// time-out or a cancel returns the input floorplan unchanged, so the pass
+/// stays best-effort polish.
 ///
 /// # Errors
 ///
@@ -202,7 +211,16 @@ pub fn optimize_topology(
         }
     }
     model.set_objective(objective);
-    let sol = model.solve().map_err(FloorplanError::Solver)?;
+    let mut options = SolveOptions::default().with_stop(config.stop.clone());
+    if let Some(d) = config.deadline {
+        let remaining = d.saturating_duration_since(Instant::now());
+        options.time_limit = options.time_limit.min(remaining);
+    }
+    let sol = match model.solve_with(&options) {
+        Ok(sol) => sol,
+        Err(SolveError::LimitWithoutIncumbent) => return Ok(floorplan.clone()),
+        Err(e) => return Err(FloorplanError::Solver(e)),
+    };
 
     let new_placed = placed
         .iter()
@@ -349,6 +367,22 @@ mod tests {
             pa.manhattan(&pc)
         );
         assert!(out.chip_height() <= fp.chip_height() + 1e-9);
+    }
+
+    #[test]
+    fn spent_budget_returns_the_input_unchanged() {
+        let nl = ProblemGenerator::new(9, 17).generate();
+        let cfg = FloorplanConfig::default();
+        let fp = crate::greedy::bottom_left(&nl, &cfg).unwrap();
+        assert_ne!(optimize_topology(&fp, &nl, &cfg).unwrap(), fp);
+
+        let expired = cfg.clone().with_deadline(Some(Instant::now()));
+        assert_eq!(optimize_topology(&fp, &nl, &expired).unwrap(), fp);
+
+        let stop = fp_milp::StopFlag::new();
+        stop.trigger();
+        let cancelled = cfg.with_stop(stop);
+        assert_eq!(optimize_topology(&fp, &nl, &cancelled).unwrap(), fp);
     }
 
     #[test]

@@ -132,8 +132,9 @@ pub struct SolveOptions {
     /// the serial solver, which visits nodes in a deterministic dive-first
     /// DFS order; larger values share the frontier between that many
     /// workers, which reach the same proven optimum but may differ in node
-    /// counts and in which optimal vertex is reported. Defaults to
-    /// [`std::thread::available_parallelism`].
+    /// counts and in which optimal vertex is reported. Defaults to `1`, so
+    /// the same model gives the same answer on any machine; parallel search
+    /// is opt-in through [`SolveOptions::with_threads`].
     pub threads: usize,
     /// Warm-start each node's LP from its parent's optimal basis via the
     /// dual simplex instead of re-running two-phase primal from scratch.
@@ -216,7 +217,7 @@ impl Default for SolveOptions {
             opt_tol: 1e-9,
             int_tol: 1e-6,
             absolute_gap: 0.0,
-            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            threads: 1,
             warm_start: true,
             warm_pivot_cap: 0,
             sparse: SparseMode::Auto,
@@ -392,7 +393,7 @@ mod tests {
         assert!(o.feas_tol > 0.0 && o.feas_tol < 1e-3);
         assert!(o.int_tol >= o.feas_tol / 10.0);
         assert!(o.node_limit > 1_000);
-        assert!(o.threads >= 1);
+        assert_eq!(o.threads, 1);
         assert!(o.warm_start);
         assert_eq!(o.warm_pivot_cap, 0);
         assert_eq!(o.sparse, SparseMode::Auto);

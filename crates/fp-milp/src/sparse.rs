@@ -31,6 +31,8 @@ use crate::simplex::{
     default_status, BasisSnapshot, ColStatus, DualEnd, LpConfig, LpOutcome, LpProblem, OptimizeEnd,
     SparseRow, StepOutcome, DEADLINE_POLL_MASK, PIVOT_TOL, REFACTOR_TOL,
 };
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::time::Instant;
 
 /// Eta updates tolerated between refactorizations when
@@ -163,19 +165,25 @@ impl Csc {
         }
     }
 
+    /// Calls `f(row, value)` for every nonzero of column `j` (structural,
+    /// slack, or artificial).
+    fn for_each_entry(&self, art_sign: &[f64], j: usize, mut f: impl FnMut(usize, f64)) {
+        if j < self.n_struct {
+            for idx in self.col_ptr[j]..self.col_ptr[j + 1] {
+                f(self.row_idx[idx], self.val[idx]);
+            }
+        } else if j < self.n_struct + self.m {
+            f(j - self.n_struct, 1.0);
+        } else {
+            let i = j - self.n_struct - self.m;
+            f(i, art_sign[i]);
+        }
+    }
+
     /// Adds column `j` (structural, slack, or artificial) scaled by `scale`
     /// into the dense row-space vector `out`.
     fn axpy(&self, art_sign: &[f64], j: usize, scale: f64, out: &mut [f64]) {
-        if j < self.n_struct {
-            for idx in self.col_ptr[j]..self.col_ptr[j + 1] {
-                out[self.row_idx[idx]] += scale * self.val[idx];
-            }
-        } else if j < self.n_struct + self.m {
-            out[j - self.n_struct] += scale;
-        } else {
-            let i = j - self.n_struct - self.m;
-            out[i] += scale * art_sign[i];
-        }
+        self.for_each_entry(art_sign, j, |i, a| out[i] += scale * a);
     }
 
     /// Dot product of column `j` with the dense row-space vector `y`.
@@ -212,6 +220,33 @@ struct Lu {
     u_diag: Vec<f64>,
 }
 
+/// [`LuScratch::step_of`] value of a row no step has pivoted on yet.
+const UNPIVOTED: usize = usize::MAX;
+
+/// Reusable scratch for [`Lu::factorize`]; every row-indexed vector is
+/// resized to `m` per call.
+#[derive(Default)]
+struct LuScratch {
+    /// Dense accumulator for the column being eliminated; zero outside the
+    /// current pattern.
+    work: Vec<f64>,
+    /// Rows not chosen as pivots yet. Its order breaks pivot ties and
+    /// orders each step's `L` multipliers.
+    unpiv: Vec<usize>,
+    /// `upos[r]`: position of unpivoted row `r` in `unpiv`.
+    upos: Vec<usize>,
+    /// `step_of[r]`: the step that pivoted on row `r`, or [`UNPIVOTED`].
+    step_of: Vec<usize>,
+    /// `mark[r] == k + 1` iff row `r` is in step `k`'s pattern.
+    mark: Vec<usize>,
+    /// Rows in the current column's pattern, in discovery order.
+    pattern: Vec<usize>,
+    /// Earlier steps whose pivot row the pattern reached, smallest first.
+    pending: BinaryHeap<Reverse<usize>>,
+    /// The current step's `L` rows, sorted into `unpiv` order.
+    lrows: Vec<usize>,
+}
+
 impl Lu {
     fn new() -> Self {
         Lu {
@@ -227,22 +262,7 @@ impl Lu {
         }
     }
 
-    /// Factorizes the basis given by `basis` against `mat`, using `work`
-    /// (dense row-space scratch) and `unpiv` (scratch list of rows not yet
-    /// chosen as pivots, so step `k` touches only the `m − k` candidate rows
-    /// instead of rescanning all `m`). Returns `false` when some basis
-    /// column is numerically dependent on the previous ones (pivot below
-    /// [`REFACTOR_TOL`]), leaving `self` unspecified — callers keep a
-    /// scratch copy and swap on success.
-    fn factorize(
-        &mut self,
-        mat: &Csc,
-        art_sign: &[f64],
-        basis: &[usize],
-        work: &mut [f64],
-        unpiv: &mut Vec<usize>,
-    ) -> bool {
-        let m = basis.len();
+    fn clear(&mut self, m: usize) {
         self.m = m;
         self.prow.clear();
         self.l_start.clear();
@@ -254,6 +274,139 @@ impl Lu {
         self.u_steps.clear();
         self.u_vals.clear();
         self.u_diag.clear();
+    }
+
+    /// Factorizes the basis given by `basis` against `mat`. Returns `false`
+    /// when some basis column is numerically dependent on the previous ones
+    /// (pivot below [`REFACTOR_TOL`]), leaving `self` unspecified — callers
+    /// keep a scratch copy and swap on success.
+    ///
+    /// The elimination is pattern-driven (Gilbert–Peierls): step `k`
+    /// scatters basis column `k`, then applies only the earlier transforms
+    /// whose pivot row its pattern reaches, in increasing step order, so a
+    /// call costs `O(nnz(L+U) + m)` up to heap and sort logarithms instead
+    /// of `O(m²)`. Every floating-point operation, the pivot choice
+    /// (largest magnitude, ties to the first row in `unpiv` order) and the
+    /// order of the emitted `L` and `U` entries match the dense left-looking
+    /// scan bit for bit; the unit tests pin this against that scan.
+    fn factorize(
+        &mut self,
+        mat: &Csc,
+        art_sign: &[f64],
+        basis: &[usize],
+        s: &mut LuScratch,
+    ) -> bool {
+        let m = basis.len();
+        self.clear(m);
+        s.work.clear();
+        s.work.resize(m, 0.0);
+        s.unpiv.clear();
+        s.unpiv.extend(0..m);
+        s.upos.clear();
+        s.upos.extend(0..m);
+        s.step_of.clear();
+        s.step_of.resize(m, UNPIVOTED);
+        s.mark.clear();
+        s.mark.resize(m, 0);
+
+        for (k, &col) in basis.iter().enumerate() {
+            let stamp = k + 1;
+            s.pattern.clear();
+            mat.for_each_entry(art_sign, col, |r, v| {
+                s.work[r] = v;
+                s.mark[r] = stamp;
+                s.pattern.push(r);
+                if s.step_of[r] != UNPIVOTED {
+                    s.pending.push(Reverse(s.step_of[r]));
+                }
+            });
+            // Apply the earlier transforms the pattern reaches, in step
+            // order. A transform only writes rows unpivoted at its step, so
+            // every step it reaches is later and `pv` is already final:
+            // exactly the entries of this U column.
+            while let Some(Reverse(kk)) = s.pending.pop() {
+                let pv = s.work[self.prow[kk]];
+                if pv == 0.0 {
+                    continue;
+                }
+                for idx in self.l_start[kk]..self.l_start[kk + 1] {
+                    let r = self.l_rows[idx];
+                    if s.mark[r] != stamp {
+                        s.mark[r] = stamp;
+                        s.pattern.push(r);
+                        if s.step_of[r] != UNPIVOTED {
+                            s.pending.push(Reverse(s.step_of[r]));
+                        }
+                    }
+                    s.work[r] -= self.l_vals[idx] * pv;
+                }
+                self.u_steps.push(kk);
+                self.u_vals.push(pv);
+            }
+            self.u_start.push(self.u_steps.len());
+            // Partial pivoting among the unpivoted rows. Rows outside the
+            // pattern hold zero. The dense scan starts from `unpiv[0]` and
+            // moves only to a strictly larger magnitude, so starting there
+            // too keeps its choice even when `unpiv[0]` holds a NaN.
+            let mut best = s.unpiv[0];
+            let mut mag = s.work[best].abs();
+            for &r in &s.pattern {
+                if s.step_of[r] != UNPIVOTED {
+                    continue;
+                }
+                let a = s.work[r].abs();
+                if a > mag || (a == mag && s.upos[r] < s.upos[best]) {
+                    best = r;
+                    mag = a;
+                }
+            }
+            if mag <= REFACTOR_TOL {
+                return false;
+            }
+            let t = s.upos[best];
+            s.unpiv.swap_remove(t);
+            if let Some(&moved) = s.unpiv.get(t) {
+                s.upos[moved] = t;
+            }
+            s.step_of[best] = k;
+            let piv = s.work[best];
+            self.prow.push(best);
+            self.u_diag.push(piv);
+            // Remaining unpivoted rows hold this step's L multipliers.
+            s.lrows.clear();
+            s.lrows.extend(
+                s.pattern
+                    .iter()
+                    .copied()
+                    .filter(|&rr| s.step_of[rr] == UNPIVOTED && s.work[rr] != 0.0),
+            );
+            s.lrows.sort_unstable_by_key(|&rr| s.upos[rr]);
+            for &rr in &s.lrows {
+                self.l_rows.push(rr);
+                self.l_vals.push(s.work[rr] / piv);
+            }
+            self.l_start.push(self.l_rows.len());
+            for &rr in &s.pattern {
+                s.work[rr] = 0.0;
+            }
+        }
+        true
+    }
+
+    /// The dense-scan elimination the pattern-driven [`Lu::factorize`]
+    /// replaced, kept as its differential oracle: `O(m²)` per call, same
+    /// factors bit for bit.
+    #[cfg(test)]
+    fn factorize_dense(
+        &mut self,
+        mat: &Csc,
+        art_sign: &[f64],
+        basis: &[usize],
+        work: &mut [f64],
+        unpiv: &mut Vec<usize>,
+    ) -> bool {
+        let m = basis.len();
+        self.clear(m);
         unpiv.clear();
         unpiv.extend(0..m);
 
@@ -467,7 +620,7 @@ pub(crate) struct SparseKernel {
     alpha: Vec<f64>,
     y: Vec<f64>,
     rho: Vec<f64>,
-    unpiv: Vec<usize>,
+    lu_work: LuScratch,
     // Column-space scratch (length n): nonbasic reduced costs maintained
     // incrementally across dual pivots, and the pivot row of the last scan.
     dred: Vec<f64>,
@@ -513,7 +666,7 @@ impl SparseKernel {
             alpha: Vec::new(),
             y: Vec::new(),
             rho: Vec::new(),
-            unpiv: Vec::new(),
+            lu_work: LuScratch::default(),
             dred: Vec::new(),
             arow: Vec::new(),
             cand: Vec::new(),
@@ -629,13 +782,9 @@ impl SparseKernel {
     /// Factorizes the current basis into the scratch factors and swaps them
     /// in on success; on failure the current factors stay valid.
     fn factorize(&mut self) -> bool {
-        let ok = self.lu_scratch.factorize(
-            &self.mat,
-            &self.art_sign,
-            &self.basis,
-            &mut self.work_row,
-            &mut self.unpiv,
-        );
+        let ok =
+            self.lu_scratch
+                .factorize(&self.mat, &self.art_sign, &self.basis, &mut self.lu_work);
         if ok {
             std::mem::swap(&mut self.lu, &mut self.lu_scratch);
             self.refactors += 1;
@@ -1390,5 +1539,325 @@ impl SparseKernel {
             }
         }
         worst
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+
+    /// A basis to factorize: the constraint matrix, artificial signs and
+    /// the basic columns in position order.
+    struct Case {
+        mat: Csc,
+        art_sign: Vec<f64>,
+        basis: Vec<usize>,
+    }
+
+    impl Case {
+        /// Builds the CSC matrix from dense structural columns.
+        fn new(cols: &[Vec<f64>], art_sign: Vec<f64>, basis: Vec<usize>) -> Self {
+            let m = art_sign.len();
+            let rows: Vec<SparseRow> = (0..m)
+                .map(|i| {
+                    let terms = cols.iter().enumerate().map(|(j, c)| (j, c[i])).collect();
+                    (terms, Cmp::Le, 0.0)
+                })
+                .collect();
+            let mut mat = Csc::new();
+            mat.build(&rows, cols.len());
+            Case {
+                mat,
+                art_sign,
+                basis,
+            }
+        }
+    }
+
+    /// Random dense-stored column with the given density, values drawn by
+    /// `val`.
+    fn column(
+        rng: &mut StdRng,
+        m: usize,
+        density: f64,
+        mut val: impl FnMut(&mut StdRng) -> f64,
+    ) -> Vec<f64> {
+        (0..m)
+            .map(|_| if rng.gen_bool(density) { val(rng) } else { 0.0 })
+            .collect()
+    }
+
+    fn signs(rng: &mut StdRng, m: usize) -> Vec<f64> {
+        (0..m)
+            .map(|_| if rng.gen_bool(0.5) { 1.0 } else { -1.0 })
+            .collect()
+    }
+
+    /// A shuffled basis of `m` distinct columns, each structural with
+    /// probability `p_struct` (while structurals last), else the slack or
+    /// artificial of a not yet used row.
+    fn mixed_basis(rng: &mut StdRng, m: usize, n_struct: usize, p_struct: f64) -> Vec<usize> {
+        let mut structs: Vec<usize> = (0..n_struct).collect();
+        structs.shuffle(rng);
+        let mut units: Vec<usize> = (0..m).collect();
+        units.shuffle(rng);
+        let mut basis = Vec::with_capacity(m);
+        while basis.len() < m {
+            let take_struct = rng.gen_bool(p_struct) || units.is_empty();
+            match (take_struct, structs.pop(), units.pop()) {
+                (true, Some(j), u) => {
+                    basis.push(j);
+                    units.extend(u);
+                }
+                (_, s, Some(i)) => {
+                    let unit = if rng.gen_bool(0.5) {
+                        n_struct
+                    } else {
+                        n_struct + m
+                    };
+                    basis.push(unit + i);
+                    structs.extend(s);
+                }
+                _ => unreachable!("n_struct >= m columns always remain"),
+            }
+        }
+        basis.shuffle(rng);
+        basis
+    }
+
+    /// Real-valued sparse matrix, basis mostly slack/artificial columns.
+    fn unit_heavy(m: usize, seed: u64) -> Case {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = m + 4;
+        let cols: Vec<_> = (0..n)
+            .map(|_| column(&mut rng, m, 0.3, |r| r.gen_range(-10.0..10.0)))
+            .collect();
+        let basis = mixed_basis(&mut rng, m, n, 0.2);
+        Case::new(&cols, signs(&mut rng, m), basis)
+    }
+
+    /// Real-valued sparse matrix, basis mostly structural columns.
+    fn structural_heavy(m: usize, seed: u64) -> Case {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = 2 * m;
+        let cols: Vec<_> = (0..n)
+            .map(|_| {
+                let mut c = column(&mut rng, m, 0.2, |r| r.gen_range(-10.0..10.0));
+                // A guaranteed entry keeps most bases nonsingular.
+                c[rng.gen_range(0..m)] = rng.gen_range(1.0..5.0);
+                c
+            })
+            .collect();
+        let basis = mixed_basis(&mut rng, m, n, 0.9);
+        Case::new(&cols, signs(&mut rng, m), basis)
+    }
+
+    /// Entries of magnitude 1 or 2 only, so nearly every pivot search
+    /// meets several candidates of equal magnitude.
+    fn ties(m: usize, seed: u64) -> Case {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = 2 * m;
+        let cols: Vec<_> = (0..n)
+            .map(|_| {
+                column(&mut rng, m, 0.5, |r| {
+                    let mag = if r.gen_bool(0.7) { 1.0 } else { 2.0 };
+                    if r.gen_bool(0.5) {
+                        mag
+                    } else {
+                        -mag
+                    }
+                })
+            })
+            .collect();
+        let basis = mixed_basis(&mut rng, m, n, 0.7);
+        Case::new(&cols, signs(&mut rng, m), basis)
+    }
+
+    /// ±1 columns plus columns that are sums or differences of two others
+    /// with one entry nudged: elimination is exact in binary floating
+    /// point and cancels many entries to exactly `0.0`.
+    fn cancellation(m: usize, seed: u64) -> Case {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut cols: Vec<Vec<f64>> = (0..m)
+            .map(|_| {
+                column(
+                    &mut rng,
+                    m,
+                    0.4,
+                    |r| if r.gen_bool(0.5) { 1.0 } else { -1.0 },
+                )
+            })
+            .collect();
+        for _ in 0..m {
+            let a = cols[rng.gen_range(0..m)].clone();
+            let b = cols[rng.gen_range(0..m)].clone();
+            let s = if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
+            let mut c: Vec<f64> = a.iter().zip(&b).map(|(x, y)| x + s * y).collect();
+            if rng.gen_bool(0.8) {
+                c[rng.gen_range(0..m)] += 1.0;
+            }
+            cols.push(c);
+        }
+        let basis = mixed_basis(&mut rng, m, cols.len(), 0.8);
+        Case::new(&cols, signs(&mut rng, m), basis)
+    }
+
+    /// A structural-heavy basis whose last column is a combination of
+    /// the others plus a perturbation at or around [`REFACTOR_TOL`].
+    fn near_singular(m: usize, seed: u64) -> Case {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut cols: Vec<Vec<f64>> = (0..m)
+            .map(|i| {
+                let mut c = column(&mut rng, m, 0.3, |r| r.gen_range(-4.0..4.0));
+                c[i] = rng.gen_range(2.0..6.0);
+                c
+            })
+            .collect();
+        let mut dep = vec![0.0; m];
+        for c in cols.iter().take(m - 1) {
+            if rng.gen_bool(0.5) {
+                let w = rng.gen_range(-2.0..2.0);
+                for (d, x) in dep.iter_mut().zip(c) {
+                    *d += w * x;
+                }
+            }
+        }
+        let eps = [0.0, 1e-14, 1e-10, REFACTOR_TOL, 1e-7, 1e-4][rng.gen_range(0..6usize)];
+        dep[rng.gen_range(0..m)] += eps;
+        cols[m - 1] = dep;
+        let mut basis: Vec<usize> = (0..m - 1).collect();
+        basis.shuffle(&mut rng);
+        basis.push(m - 1);
+        Case::new(&cols, signs(&mut rng, m), basis)
+    }
+
+    /// Draws one case of a basis family from `(m, seed)`.
+    type Family = fn(usize, u64) -> Case;
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Factorizes `case` both ways, the pattern-driven way with `scratch`
+    /// left over from earlier calls, and requires the same outcome and, on
+    /// success, identical factors down to the bit.
+    fn same_factors_with(case: &Case, scratch: &mut LuScratch) -> Result<bool, TestCaseError> {
+        let m = case.basis.len();
+        let mut fast = Lu::new();
+        let ok = fast.factorize(&case.mat, &case.art_sign, &case.basis, scratch);
+        let mut oracle = Lu::new();
+        let want = oracle.factorize_dense(
+            &case.mat,
+            &case.art_sign,
+            &case.basis,
+            &mut vec![0.0; m],
+            &mut Vec::new(),
+        );
+        prop_assert_eq!(ok, want, "success flag");
+        if ok {
+            prop_assert_eq!(&fast.prow, &oracle.prow, "pivot rows");
+            prop_assert_eq!(&fast.l_start, &oracle.l_start, "L column starts");
+            prop_assert_eq!(&fast.l_rows, &oracle.l_rows, "L rows");
+            prop_assert_eq!(bits(&fast.l_vals), bits(&oracle.l_vals), "L values");
+            prop_assert_eq!(&fast.u_start, &oracle.u_start, "U column starts");
+            prop_assert_eq!(&fast.u_steps, &oracle.u_steps, "U steps");
+            prop_assert_eq!(bits(&fast.u_vals), bits(&oracle.u_vals), "U values");
+            prop_assert_eq!(bits(&fast.u_diag), bits(&oracle.u_diag), "U diagonal");
+        }
+        Ok(ok)
+    }
+
+    fn same_factors(case: &Case) -> Result<bool, TestCaseError> {
+        same_factors_with(case, &mut LuScratch::default())
+    }
+
+    proptest! {
+        #[test]
+        fn unit_heavy_bases_match_dense_scan(m in 1usize..48, seed in 0u64..u64::MAX) {
+            same_factors(&unit_heavy(m, seed))?;
+        }
+
+        #[test]
+        fn structural_heavy_bases_match_dense_scan(m in 1usize..48, seed in 0u64..u64::MAX) {
+            same_factors(&structural_heavy(m, seed))?;
+        }
+
+        #[test]
+        fn equal_magnitude_pivots_match_dense_scan(m in 1usize..48, seed in 0u64..u64::MAX) {
+            same_factors(&ties(m, seed))?;
+        }
+
+        #[test]
+        fn exact_cancellation_matches_dense_scan(m in 2usize..48, seed in 0u64..u64::MAX) {
+            same_factors(&cancellation(m, seed))?;
+        }
+
+        #[test]
+        fn near_singular_bases_match_dense_scan(m in 2usize..48, seed in 0u64..u64::MAX) {
+            same_factors(&near_singular(m, seed))?;
+        }
+    }
+
+    #[test]
+    fn every_family_reaches_both_outcomes() {
+        let families: [(&str, Family); 5] = [
+            ("unit-heavy", unit_heavy),
+            ("structural-heavy", structural_heavy),
+            ("ties", ties),
+            ("cancellation", cancellation),
+            ("near-singular", near_singular),
+        ];
+        // One scratch across every case: sizes change and singular cases
+        // return mid-elimination, as in the kernel.
+        let mut scratch = LuScratch::default();
+        for (name, family) in families {
+            let (mut ok, mut singular) = (0, 0);
+            for seed in 0..200 {
+                match same_factors_with(&family(2 + (seed as usize) % 30, seed), &mut scratch) {
+                    Ok(true) => ok += 1,
+                    Ok(false) => singular += 1,
+                    Err(e) => panic!("{name} seed {seed}: {e}"),
+                }
+            }
+            assert!(
+                ok > 0 && singular > 0,
+                "{name}: {ok} factored, {singular} singular"
+            );
+        }
+    }
+
+    #[test]
+    fn pivot_ties_go_to_the_first_unpivoted_row() {
+        // Column 0 ties rows 1, 2, 3 at |1| and the scan keeps row 1. Its
+        // swap_remove moves row 3 to position 1, ahead of row 2, so column
+        // 1 (rows 2 and 3 tied at |1| after elimination) pivots on row 3,
+        // not on the lower row index. Slacks 0 and 2 complete the basis.
+        let cols = vec![vec![0.0, 1.0, -1.0, 1.0], vec![0.0, 1.0, 0.0, 0.0]];
+        let case = Case::new(&cols, vec![1.0; 4], vec![0, 1, 2, 4]);
+        assert!(same_factors(&case).unwrap());
+        let mut lu = Lu::new();
+        assert!(lu.factorize(
+            &case.mat,
+            &case.art_sign,
+            &case.basis,
+            &mut LuScratch::default()
+        ));
+        assert_eq!(lu.prow[0], 1);
+        assert_eq!(lu.prow[1], 3);
+    }
+
+    #[test]
+    fn non_finite_entries_match_dense_scan() {
+        // A NaN at the scan's first candidate row wins every comparison
+        // by losing them all; the pattern-driven search must keep it too.
+        let cols = vec![vec![f64::NAN, 1.0, 2.0], vec![1.0, f64::INFINITY, 0.0]];
+        let case = Case::new(&cols, vec![1.0; 3], vec![0, 1, 4]);
+        same_factors(&case).unwrap();
+        let case = Case::new(&cols, vec![1.0; 3], vec![1, 0, 2]);
+        same_factors(&case).unwrap();
     }
 }

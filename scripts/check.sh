@@ -17,6 +17,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test"
 cargo test --workspace -q
 
+# perfbench is its own workspace (so the benchmark builds standalone), so
+# `cargo test --workspace` never reaches its schedule, percentile and
+# BENCHMARK.json-table tests; run them explicitly.
+echo "== perfbench tests"
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
 # The deterministic chaos/fault-injection suite for the event-driven
 # front end (slow-loris drips, half-closed sockets, mid-job disconnects,
 # oversized frames, seeded flaky-client swarm) is tier-1: run it by name
