@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fp_bench::instances::{knapsack, placement_milp, random_lp, seeded_set};
-use fp_milp::{Model, SolveOptions};
+use fp_milp::{test_support, Model, SolveOptions};
 use std::time::Duration;
 
 fn bench_simplex(c: &mut Criterion) {
@@ -108,7 +108,7 @@ fn bench_trace_overhead(c: &mut Criterion) {
 }
 
 /// Warm vs cold node solves on the same trees: the `warm_start` rows pit
-/// the default dual-simplex basis reuse against `with_warm_start(false)`
+/// the default dual-simplex basis reuse against `test_support::cold`
 /// (every node solved by the cold two-phase primal), on the classic bench
 /// models and the seeded snapshot set, serial and parallel.
 fn bench_warm_start(c: &mut Criterion) {
@@ -126,8 +126,8 @@ fn bench_warm_start(c: &mut Criterion) {
             for (mode, warm) in [("cold", false), ("warm", true)] {
                 let opts = SolveOptions::default()
                     .with_node_limit(50_000)
-                    .with_threads(threads)
-                    .with_warm_start(warm);
+                    .with_threads(threads);
+                let opts = if warm { opts } else { test_support::cold(opts) };
                 group.bench_with_input(
                     BenchmarkId::new(name.as_str(), format!("{mode}_threads_{threads}")),
                     model,
@@ -158,8 +158,12 @@ fn bench_strengthen(c: &mut Criterion) {
             for (mode, on) in [("off", false), ("on", true)] {
                 let opts = SolveOptions::default()
                     .with_node_limit(50_000)
-                    .with_threads(threads)
-                    .with_strengthen(on);
+                    .with_threads(threads);
+                let opts = if on {
+                    opts
+                } else {
+                    test_support::unstrengthened(opts)
+                };
                 group.bench_with_input(
                     BenchmarkId::new(*name, format!("{mode}_threads_{threads}")),
                     model,

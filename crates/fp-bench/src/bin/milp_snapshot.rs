@@ -16,19 +16,20 @@
 //!   `speedup` (`elapsed_off / elapsed_on` — the end-to-end win), with
 //!   medians `median_strengthen_node_reduction` and
 //!   `median_strengthen_speedup` as headlines.
-//! * `sparse.dense` / `sparse.sparse` — dense reference tableau vs the
-//!   default sparse revised kernel, everything else at its default. Per
-//!   instance the snapshot records `pivot_time_speedup` (dense seconds per
-//!   pivot / sparse seconds per pivot) and `speedup` (dense elapsed /
-//!   sparse elapsed), with `median_sparse_pivot_time_speedup` and
-//!   `median_sparse_speedup` as headlines. The sparse leg reuses the
-//!   `warm` measurement (warm starts and strengthening both default on the
-//!   default kernel), so only the dense leg solves again. Each instance
-//!   also records `auto_kernel` — which kernel the default
-//!   `SparseMode::Auto` policy resolves to for its dimensions.
+//! * `sparse.dense` / `sparse.sparse` — dense reference tableau (forced
+//!   through `fp_milp::test_support`) vs the default solve, everything else
+//!   at its default. Per instance the snapshot records
+//!   `pivot_time_speedup` (dense seconds per pivot / sparse seconds per
+//!   pivot) and `speedup` (dense elapsed / sparse elapsed), with
+//!   `median_sparse_pivot_time_speedup` and `median_sparse_speedup` as
+//!   headlines. The sparse leg reuses the `warm` measurement (everything
+//!   at its default), so only the dense leg solves again. Each instance
+//!   also records `auto_kernel` — which kernel the solver's size rule
+//!   picks for its dimensions; where that is `dense`, both legs run the
+//!   dense tableau.
 
 use fp_bench::instances::seeded_set;
-use fp_milp::{SolveOptions, SparseMode};
+use fp_milp::{test_support, SolveOptions};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -93,16 +94,10 @@ fn main() {
     let out_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_MILP.json".to_string());
-    let cold_opts = SolveOptions::default()
-        .with_node_limit(200_000)
-        .with_warm_start(false);
     let warm_opts = SolveOptions::default().with_node_limit(200_000);
-    let off_opts = SolveOptions::default()
-        .with_node_limit(200_000)
-        .with_strengthen(false);
-    let dense_opts = SolveOptions::default()
-        .with_node_limit(200_000)
-        .with_sparse(false);
+    let cold_opts = test_support::cold(warm_opts.clone());
+    let off_opts = test_support::unstrengthened(warm_opts.clone());
+    let dense_opts = test_support::force_kernel(warm_opts.clone(), false);
 
     let mut rows = String::new();
     let mut speedups = Vec::new();
@@ -128,20 +123,21 @@ fn main() {
         let strengthen_speedup = off.elapsed_s / warm.elapsed_s.max(1e-12);
         node_reductions.push(node_reduction);
         strengthen_speedups.push(strengthen_speedup);
-        // Dense vs sparse: `warm` is the default-configuration leg and the
-        // default kernel is sparse, so it doubles as the sparse leg.
+        // Dense vs sparse: `warm` is the default-configuration leg, so it
+        // doubles as the sparse leg wherever the size rule picks sparse.
         let dense_ppt = dense.elapsed_s / (dense.pivots as f64).max(1.0);
         let sparse_ppt = warm.elapsed_s / (warm.pivots as f64).max(1.0);
         let sparse_pivot_speedup = dense_ppt / sparse_ppt.max(1e-12);
         let sparse_speedup = dense.elapsed_s / warm.elapsed_s.max(1e-12);
-        // Which kernel the default `SparseMode::Auto` picks for this
-        // instance (resolved from the model's own dimensions; presolve may
-        // shrink them slightly, but the verdict is the same either way).
-        let auto_kernel = if SparseMode::Auto.resolve(model.num_constraints(), model.num_vars()) {
-            "sparse"
-        } else {
-            "dense"
-        };
+        // Which kernel the size rule picks for this instance (resolved from
+        // the model's own dimensions; presolve may shrink them slightly, but
+        // the verdict is the same either way).
+        let auto_kernel =
+            if test_support::size_rule_picks_sparse(model.num_constraints(), model.num_vars()) {
+                "sparse"
+            } else {
+                "dense"
+            };
         sparse_pivot_speedups.push(sparse_pivot_speedup);
         sparse_speedups.push(sparse_speedup);
         if i > 0 {

@@ -7,6 +7,7 @@
 //! own benchmark crate.
 
 use fp_bench::instances::knapsack;
+use fp_milp::test_support::unstrengthened;
 use fp_milp::{Optimality, SolveOptions};
 
 /// knapsack18 (seed 4) is the instance where unconditionally committed root
@@ -18,11 +19,9 @@ use fp_milp::{Optimality, SolveOptions};
 fn knapsack18_strengthen_never_grows_the_tree() {
     let model = knapsack(18, 4);
     let off = model
-        .solve_with(
-            &SolveOptions::default()
-                .with_node_limit(200_000)
-                .with_strengthen(false),
-        )
+        .solve_with(&unstrengthened(
+            SolveOptions::default().with_node_limit(200_000),
+        ))
         .expect("knapsack is feasible by construction");
     let on = model
         .solve_with(&SolveOptions::default().with_node_limit(200_000))

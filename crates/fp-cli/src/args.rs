@@ -12,6 +12,7 @@ use fp_core::{Objective, OrderingStrategy};
 use fp_netlist::{ami33, format, generator::ProblemGenerator, Netlist};
 use fp_route::{RouteAlgorithm, RoutingMode};
 use fp_serve::{Backend, IoMode};
+use std::time::Duration;
 
 /// A parsed invocation.
 #[derive(Debug)]
@@ -47,8 +48,8 @@ pub struct RunArgs {
     pub compact: bool,
     /// Per-step node limit.
     pub node_limit: usize,
-    /// Per-step time limit in seconds.
-    pub time_limit: f64,
+    /// Per-step time limit.
+    pub time_limit: Duration,
     /// Solver threads (None = the serial default of `SolveOptions`).
     pub threads: Option<usize>,
     /// Global routing algorithm.
@@ -117,6 +118,9 @@ pub struct LoadArgs {
     /// Open-loop aggregate arrival rate in jobs/s (0 = closed loop:
     /// each client waits for its answer before sending the next job).
     pub rate: f64,
+    /// Each client's send interval under the open loop: `clients / rate`
+    /// seconds (`None` = closed loop).
+    pub gap: Option<Duration>,
     /// Percentage (0-100) of jobs that submit one shared duplicate
     /// instance; the rest are all distinct. Overrides `spread` when
     /// set — this is the coalescing/cache-dedup workload.
@@ -160,7 +164,7 @@ pub fn parse_run_args<I: Iterator<Item = String>>(mut it: I) -> Result<RunArgs, 
         rotation: true,
         compact: false,
         node_limit: 20_000,
-        time_limit: 10.0,
+        time_limit: Duration::from_secs(10),
         threads: None,
         route: None,
         mode: RoutingMode::AroundTheCell,
@@ -219,7 +223,9 @@ pub fn parse_run_args<I: Iterator<Item = String>>(mut it: I) -> Result<RunArgs, 
             "--time-limit" => {
                 args.time_limit = value("--time-limit")?
                     .parse()
-                    .map_err(|_| "bad time limit")?;
+                    .ok()
+                    .and_then(positive_secs)
+                    .ok_or("--time-limit wants a positive number of seconds")?;
             }
             "--threads" => {
                 let n: usize = value("--threads")?
@@ -349,6 +355,7 @@ fn parse_load_args<I: Iterator<Item = String>>(mut it: I) -> Result<LoadArgs, St
         modules: 5,
         spread: 4,
         rate: 0.0,
+        gap: None,
         dup: 0,
         no_cache: false,
         eco: 0,
@@ -396,8 +403,8 @@ fn parse_load_args<I: Iterator<Item = String>>(mut it: I) -> Result<LoadArgs, St
             }
             "--rate" => {
                 let r: f64 = value("--rate")?.parse().map_err(|_| "bad rate")?;
-                if !r.is_finite() || r < 0.0 {
-                    return Err("--rate wants a non-negative jobs/s".to_string());
+                if !r.is_finite() || r <= 0.0 {
+                    return Err("--rate wants a positive jobs/s".to_string());
                 }
                 args.rate = r;
             }
@@ -420,7 +427,20 @@ fn parse_load_args<I: Iterator<Item = String>>(mut it: I) -> Result<LoadArgs, St
             other => return Err(format!("unknown load option '{other}'")),
         }
     }
+    if args.rate > 0.0 {
+        let gap = positive_secs(args.clients as f64 / args.rate);
+        args.gap = Some(gap.ok_or("--rate too low: the send interval overflows")?);
+    }
     Ok(args)
+}
+
+/// A finite, strictly positive number of seconds as a [`Duration`]; `None`
+/// for anything else (negative, zero, NaN, infinite or too large).
+fn positive_secs(secs: f64) -> Option<Duration> {
+    if !(secs.is_finite() && secs > 0.0) {
+        return None;
+    }
+    Duration::try_from_secs_f64(secs).ok()
 }
 
 /// Resolves the run invocation's problem source to a netlist.
@@ -567,7 +587,7 @@ mod tests {
         assert_eq!(a.ordering, OrderingStrategy::Random(9));
         assert!(a.envelopes && !a.rotation && a.compact && a.ascii);
         assert_eq!(a.node_limit, 500);
-        assert_eq!(a.time_limit, 2.5);
+        assert_eq!(a.time_limit, Duration::from_secs_f64(2.5));
         assert_eq!(a.threads, Some(4));
         assert_eq!(a.route, Some(RouteAlgorithm::WeightedShortestPath));
         assert_eq!(a.mode, RoutingMode::OverTheCell);
@@ -585,6 +605,12 @@ mod tests {
         assert!(parse(&["--threads", "0"]).is_err());
         assert!(parse(&["--threads", "many"]).is_err());
         assert!(parse(&["--trace"]).is_err());
+        for bad in ["-1", "0", "nan", "inf", "1e30", "soon"] {
+            assert!(
+                parse(&["--ami33", "--time-limit", bad]).is_err(),
+                "--time-limit {bad}"
+            );
+        }
     }
 
     #[test]
@@ -743,8 +769,11 @@ mod tests {
             panic!("expected load");
         };
         assert_eq!(l.rate, 250.5);
+        assert_eq!(l.gap, Some(Duration::from_secs_f64(4.0 / 250.5)));
         assert_eq!(l.dup, 50);
-        assert!(command(&["load", "--rate", "-1"]).is_err());
+        for bad in ["-1", "0", "nan", "inf", "1e-300"] {
+            assert!(command(&["load", "--rate", bad]).is_err(), "--rate {bad}");
+        }
         assert!(command(&["load", "--dup", "101"]).is_err());
     }
 }

@@ -56,7 +56,7 @@ fn cmd_run(args: &RunArgs) -> Result<(), String> {
             // Default thread count (no --threads): the serial solver.
             let mut opts = fp_milp::SolveOptions::default()
                 .with_node_limit(args.node_limit)
-                .with_time_limit(Duration::from_secs_f64(args.time_limit));
+                .with_time_limit(args.time_limit);
             if let Some(n) = args.threads {
                 opts = opts.with_threads(n);
             }
@@ -388,8 +388,6 @@ fn cmd_load(args: &LoadArgs) -> Result<(), String> {
     } else {
         None
     };
-    // Open loop: aggregate arrival rate `--rate` split across clients.
-    let gap = (args.rate > 0.0).then(|| Duration::from_secs_f64(args.clients as f64 / args.rate));
     let started = Instant::now();
     let handles: Vec<_> = (0..args.clients)
         .map(|c| {
@@ -397,7 +395,7 @@ fn cmd_load(args: &LoadArgs) -> Result<(), String> {
             let eco_base = eco_base.clone();
             std::thread::spawn(move || {
                 let eco = eco_base.as_deref();
-                match gap {
+                match args.gap {
                     Some(gap) => run_open_loop(&args, c, gap, eco),
                     None => run_closed_loop(&args, c, eco),
                 }

@@ -127,8 +127,9 @@ pub struct FloorplanConfig {
     pub tracer: fp_obs::Tracer,
     /// Cooperative cancellation flag, checked at every augmentation-step
     /// boundary and inside every step MILP's branch-and-bound loop. When
-    /// raised, the run returns [`FloorplanError::Cancelled`]
-    /// (crate::FloorplanError::Cancelled). Disabled by default.
+    /// raised, the run returns
+    /// [`FloorplanError::Cancelled`](crate::FloorplanError::Cancelled).
+    /// Disabled by default.
     pub stop: StopFlag,
     /// Shared portfolio incumbent. When set and the objective is pure
     /// [`Objective::Area`], each step MILP receives the incumbent's best

@@ -799,7 +799,7 @@ mod tests {
             .collect();
 
         let on_opts = fp_milp::SolveOptions::default().with_threads(1);
-        let off_opts = on_opts.clone().with_strengthen(false);
+        let off_opts = fp_milp::test_support::unstrengthened(on_opts.clone());
         let mut placed: Vec<PlacedModule> = Vec::new();
         let mut envelopes: Vec<Rect> = Vec::new();
         let mut cursor = 0usize;
@@ -846,5 +846,47 @@ mod tests {
             steps += 1;
         }
         assert!(steps >= 2, "expected at least two ami33 steps");
+    }
+
+    /// The seed step a default run starts with: the first `seed_size`
+    /// modules of the resolved order on an empty chip.
+    fn seed_step_model(nl: &Netlist) -> StepModel {
+        let cfg = FloorplanConfig::default();
+        let order = crate::augment::resolve_order(nl, &cfg).unwrap();
+        let chip_width = crate::augment::resolve_chip_width(nl, &cfg).unwrap();
+        let group: Vec<ShapeSpec> = order
+            .iter()
+            .take(cfg.seed_size)
+            .map(|&id| ShapeSpec::from_module(id, nl.module(id), &cfg))
+            .collect();
+        let (_, h_ub) = crate::greedy::greedy_height(&[], &group, chip_width).unwrap();
+        StepModel::build(&StepInput {
+            netlist: nl,
+            config: &cfg,
+            chip_width,
+            obstacles: &[],
+            placed: &[],
+            group: &group,
+            h_ub,
+            floor: 0.0,
+            pull_down: false,
+        })
+    }
+
+    /// The solver picks its kernel by size (dense tableau below 48
+    /// `rows + structural columns`, sparse revised simplex from there on);
+    /// a GSRC-scale seed step is past the threshold, so it factorizes.
+    /// The small side of the rule is pinned on xerox10's topology LP in
+    /// `topology::tests`.
+    #[test]
+    fn gsrc100_seed_step_runs_on_the_sparse_kernel() {
+        let sm = seed_step_model(&fp_netlist::decks::gsrc_style(100, 1));
+        assert!(sm.model.num_constraints() + sm.model.num_vars() >= 48);
+        let sol = sm.model.solve_with(&SolveOptions::default()).unwrap();
+        assert!(
+            sol.stats().refactorizations > 0,
+            "a {}-row step solved without LU factorizations",
+            sm.model.num_constraints()
+        );
     }
 }

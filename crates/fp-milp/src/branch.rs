@@ -17,7 +17,7 @@
 
 use crate::error::SolveError;
 use crate::model::Model;
-use crate::options::SolveOptions;
+use crate::options::{SolveOptions, FEAS_TOL, INT_TOL, OPT_TOL, PRESOLVE_PASSES};
 use crate::presolve::{presolve, strengthen, CutSeparator, PresolveStatus, Strengthened};
 use crate::simplex::{BasisSnapshot, LpConfig, LpOutcome, LpProblem, SparseRow, Workspace};
 use crate::solution::{Optimality, Solution, SolveStats, ThreadStats};
@@ -33,7 +33,7 @@ struct Node {
     depth: usize,
     /// The parent's optimal basis, shared by both children so each node's
     /// LP can warm-start via the dual simplex. `None` at the root or when
-    /// [`SolveOptions::warm_start`] is off.
+    /// warm starts are switched off.
     basis: Option<Arc<BasisSnapshot>>,
 }
 
@@ -63,7 +63,7 @@ const CUT_IMPROVE_TOL: f64 = 1e-9;
 /// provisional until the re-solved root LP proves a relative bound
 /// improvement of at least [`CUT_IMPROVE_TOL`]; a stalled round is
 /// truncated off the row set and separation stops. Returns the number of
-/// cuts kept (capped at [`SolveOptions::max_cuts`]) plus the optimal basis
+/// cuts kept (capped by the cut budget) plus the optimal basis
 /// of the final committed row set when the last LP solve still describes
 /// it — the tree's root node warm-starts from that basis instead of
 /// repeating the same cold two-phase solve.
@@ -90,7 +90,7 @@ fn add_root_cuts(
     Option<Arc<BasisSnapshot>>,
 ) {
     let mut sep = CutSeparator::new(st, rows, lb, ub, integral);
-    let max = options.max_cuts;
+    let max = options.switches.max_cuts;
     let mut added = 0;
 
     let deadline = started.checked_add(options.time_limit);
@@ -191,10 +191,10 @@ fn add_root_cuts(
     (added, committed, baseline)
 }
 
-/// The per-node LP configuration derived once per solve. The kernel choice
-/// ([`SparseMode`](crate::SparseMode)) is resolved here against the root
-/// dimensions — every
-/// node of one solve runs on the same kernel.
+/// The per-node LP configuration derived once per solve. The kernel is
+/// picked here from the root dimensions (dense tableau below 48
+/// `rows + structural columns`, sparse revised simplex from there on), so
+/// every node of one solve runs on the same kernel.
 fn lp_config(
     options: &SolveOptions,
     deadline: Option<Instant>,
@@ -202,12 +202,12 @@ fn lp_config(
     structural_cols: usize,
 ) -> LpConfig {
     LpConfig {
-        feas_tol: options.feas_tol,
-        opt_tol: options.opt_tol,
+        feas_tol: FEAS_TOL,
+        opt_tol: OPT_TOL,
         deadline,
-        warm_pivot_cap: options.warm_pivot_cap,
-        sparse: options.sparse.resolve(rows, structural_cols),
-        refactor_interval: options.refactor_interval,
+        warm_pivot_cap: options.switches.warm_pivot_cap,
+        sparse: options.switches.sparse_kernel(rows, structural_cols),
+        refactor_interval: options.switches.refactor_interval,
     }
 }
 
@@ -269,8 +269,8 @@ pub(crate) fn solve(
         base_lb,
         base_ub,
         &integral,
-        options.feas_tol,
-        options.presolve_passes,
+        FEAS_TOL,
+        PRESOLVE_PASSES,
     );
     if pre.status == PresolveStatus::Infeasible {
         tracer.emit(
@@ -299,7 +299,7 @@ pub(crate) fn solve(
     // extension), so a stale entry degrades to a cold root, never an error —
     // a wrong-but-well-formed basis can only cost pivots.
     let mut basis_tier = crate::BasisTier::Cold;
-    let basis_seed = if options.warm_start {
+    let basis_seed = if options.switches.warm_start {
         options.basis_store.as_ref().and_then(|store| {
             store
                 .fetch(crate::basis_store::slot(
@@ -326,14 +326,14 @@ pub(crate) fn solve(
         presolve_passes: pre.passes,
         ..StrengthenCounters::default()
     };
-    if options.strengthen {
+    if options.switches.strengthen {
         let st = match strengthen(
             &mut rows,
             &mut lb,
             &mut ub,
             &integral,
-            options.feas_tol,
-            options.probe_budget,
+            FEAS_TOL,
+            options.switches.probe_budget,
         ) {
             Ok(st) => st,
             Err(()) => {
@@ -361,7 +361,7 @@ pub(crate) fn solve(
                 implications: st.implications.len(),
             },
         );
-        if options.max_cuts > 0 {
+        if options.switches.max_cuts > 0 {
             let (cuts_added, basis, baseline) = add_root_cuts(
                 model,
                 options,
@@ -377,10 +377,10 @@ pub(crate) fn solve(
             );
             counters.cuts_added = cuts_added;
             publish_basis = baseline;
-            if options.warm_start {
+            if options.switches.warm_start {
                 root_basis = basis;
             }
-        } else if options.warm_start {
+        } else if options.switches.warm_start {
             root_basis = basis_seed.clone();
         }
     } else {
@@ -393,7 +393,7 @@ pub(crate) fn solve(
                 implications: 0,
             },
         );
-        if options.warm_start {
+        if options.switches.warm_start {
             root_basis = basis_seed;
         }
     }
@@ -644,7 +644,7 @@ fn solve_serial(
             lb: &node.lb,
             ub: &node.ub,
         };
-        let basis = if options.warm_start {
+        let basis = if options.switches.warm_start {
             node.basis.as_ref()
         } else {
             None
@@ -693,11 +693,11 @@ fn solve_serial(
 
         // Bound pruning against the incumbent or injected cutoff
         // (minimization form).
-        if obj >= bound - options.absolute_gap - 1e-9 {
+        if obj >= bound - 1e-9 {
             continue;
         }
 
-        match branch_choice(model, int_cols, &x, options.int_tol) {
+        match branch_choice(model, int_cols, &x, INT_TOL) {
             None => {
                 // Integer feasible: snap integers exactly and record.
                 let mut vals = x;
@@ -712,7 +712,7 @@ fn solve_serial(
             }
             Some((j, v)) => {
                 let floor = v.floor();
-                let snap = options.warm_start.then(|| ws.snapshot());
+                let snap = options.switches.warm_start.then(|| ws.snapshot());
                 let (down, up) = split(node, j, v, snap);
                 // Dive toward the nearer integer: push the preferred child
                 // last so the LIFO stack pops it first.
@@ -831,7 +831,7 @@ impl SharedSearch<'_> {
             lb: &node.lb,
             ub: &node.ub,
         };
-        let basis = if options.warm_start {
+        let basis = if options.switches.warm_start {
             node.basis.as_ref()
         } else {
             None
@@ -864,11 +864,11 @@ impl SharedSearch<'_> {
         };
 
         // Bound pruning against the shared incumbent (minimization form).
-        if obj >= self.incumbent_bound() - options.absolute_gap - 1e-9 {
+        if obj >= self.incumbent_bound() - 1e-9 {
             return;
         }
 
-        match branch_choice(self.model, self.int_cols, &x, options.int_tol) {
+        match branch_choice(self.model, self.int_cols, &x, INT_TOL) {
             None => {
                 let mut vals = x;
                 for &j in self.int_cols {
@@ -878,7 +878,7 @@ impl SharedSearch<'_> {
             }
             Some((j, v)) => {
                 let floor = v.floor();
-                let snap = options.warm_start.then(|| ws.snapshot());
+                let snap = options.switches.warm_start.then(|| ws.snapshot());
                 let (down, up) = split(node, j, v, snap);
                 let mut f = self.frontier.lock().expect("frontier lock");
                 if f.done {
@@ -996,7 +996,7 @@ fn solve_parallel(
         ub: &root.ub,
     };
     let mut root_ws = Workspace::new();
-    let root_basis = if options.warm_start {
+    let root_basis = if options.switches.warm_start {
         root.basis.as_ref()
     } else {
         None
@@ -1014,7 +1014,7 @@ fn solve_parallel(
     match root_outcome {
         LpOutcome::Optimal { x, obj } => {
             trace.root_lp(obj);
-            match branch_choice(model, int_cols, &x, options.int_tol) {
+            match branch_choice(model, int_cols, &x, INT_TOL) {
                 None => {
                     let mut vals = x;
                     for &j in int_cols {
@@ -1024,7 +1024,7 @@ fn solve_parallel(
                 }
                 Some((j, v)) => {
                     let floor = v.floor();
-                    let snap = options.warm_start.then(|| root_ws.snapshot());
+                    let snap = options.switches.warm_start.then(|| root_ws.snapshot());
                     let (down, up) = split(root, j, v, snap);
                     let mut f = shared.frontier.lock().expect("frontier lock");
                     if v - floor <= 0.5 {
@@ -1340,19 +1340,6 @@ mod tests {
     }
 
     #[test]
-    fn gap_accepts_near_optimal() {
-        let mut m = Model::new(Sense::Maximize);
-        let vars: Vec<_> = (0..8).map(|i| m.add_binary(format!("b{i}"))).collect();
-        let total: crate::LinExpr = vars.iter().map(|&v| 1.0 * v).sum();
-        m.add_le(total.clone(), 4.0);
-        m.set_objective(total);
-        let opts = SolveOptions::default().with_absolute_gap(1.5);
-        let s = m.solve_with(&opts).unwrap();
-        // Within 1.5 of the optimum 4.
-        assert!(s.objective() >= 2.5 - 1e-6);
-    }
-
-    #[test]
     fn parallel_infeasible_is_proven() {
         let mut m = Model::new(Sense::Minimize);
         let a = m.add_binary("a");
@@ -1389,12 +1376,14 @@ mod tests {
 
         // Without the strengthening cut loop there is no recovered root
         // basis, so the root relaxation must solve cold.
-        let nostr = m.solve_with(&serial().with_strengthen(false)).unwrap();
+        let nostr = m
+            .solve_with(&crate::test_support::unstrengthened(serial()))
+            .unwrap();
         let ns = nostr.stats();
         assert_eq!(ns.warm_nodes + ns.cold_nodes, ns.nodes);
         assert!(ns.cold_nodes >= 1, "without root cuts the root solves cold");
 
-        let cold = m.solve_with(&serial().with_warm_start(false)).unwrap();
+        let cold = m.solve_with(&crate::test_support::cold(serial())).unwrap();
         let cs = cold.stats();
         assert_eq!(cs.warm_nodes, 0);
         assert_eq!(cs.cold_nodes, cs.nodes);
@@ -1590,7 +1579,7 @@ mod tests {
         let store = Arc::new(BasisStore::new(8));
         let opts = serial().with_basis_store(Arc::clone(&store), 5, 5);
         covering_knapsack().solve_with(&opts).unwrap();
-        let no_warm = opts.clone().with_warm_start(false);
+        let no_warm = crate::test_support::cold(opts.clone());
         let s = covering_knapsack().solve_with(&no_warm).unwrap();
         assert_eq!(s.stats().basis_tier, BasisTier::Cold);
     }

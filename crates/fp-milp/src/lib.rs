@@ -6,17 +6,22 @@
 //! package as a procedure. This crate is the open substitute for LINDO: an
 //! exact solver for small-to-medium mixed 0-1 linear programs built on
 //!
-//! * a **two-phase, bounded-variable primal simplex** — by default a sparse
-//!   revised implementation with an LU-factorized basis and eta-file updates
-//!   (the `sparse` module), with the original dense-tableau engine kept as a
-//!   differential reference behind [`SolveOptions::sparse`] — and
+//! * a **two-phase, bounded-variable primal simplex** — a sparse revised
+//!   implementation with an LU-factorized basis and eta-file updates (the
+//!   `sparse` module) for every root LP of 48 or more `rows + structural
+//!   columns`, and the original dense tableau for smaller LPs — and
 //! * a **branch-and-bound** search on the integer variables with
 //!   most-fractional / user-priority branching, depth-first diving for early
 //!   incumbents, and node / time limits that return the best incumbent found
 //!   (the `branch` module). Child nodes **warm-start a dual simplex** from
 //!   the parent's optimal basis instead of re-solving from scratch — a pure
-//!   performance lever (every warm answer is re-verified or re-solved cold),
-//!   toggled by [`SolveOptions::warm_start`].
+//!   performance lever: every warm answer is re-verified or re-solved cold.
+//!
+//! Like LINDO in the paper, the solver is called "as a procedure":
+//! [`SolveOptions`] carries only node and time limits, a thread count, an
+//! objective cutoff, a cancellation flag and a cross-solve basis store.
+//! Tolerances, presolve and strengthening budgets and the kernel choice are
+//! fixed inside the crate.
 //!
 //! # Example
 //!
@@ -81,6 +86,6 @@ pub use error::SolveError;
 pub use expr::LinExpr;
 pub use lp_parse::parse_lp;
 pub use model::{Cmp, Constraint, Model, Sense};
-pub use options::{SolveOptions, SparseMode, StopFlag};
+pub use options::{SolveOptions, StopFlag};
 pub use solution::{Optimality, Solution, SolveStats, ThreadStats};
 pub use var::{Var, VarKind};

@@ -58,56 +58,79 @@ impl PartialEq for StopFlag {
     }
 }
 
-/// Which simplex kernel solves node LPs: the sparse revised simplex, the
-/// dense reference tableau, or an automatic per-instance choice.
-///
-/// Both kernels implement identical pivot rules and are held equal by a
-/// differential test suite, so the mode only changes speed. `BENCH_MILP`
-/// shows the sparse kernel at 0.33–0.54× the dense per-pivot throughput on
-/// tiny knapsacks (the CSC/LU machinery has fixed overhead a one-row
-/// tableau never amortizes) while winning clearly on placement-sized LPs —
-/// hence [`SparseMode::Auto`], which keeps the dense tableau below a small
-/// size threshold.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SparseMode {
-    /// Pick per solve from the root LP dimensions: dense when
-    /// `rows + structural columns < `[`SparseMode::AUTO_THRESHOLD`], sparse
-    /// otherwise. The default.
-    #[default]
-    Auto,
-    /// Always the sparse revised kernel.
-    Sparse,
-    /// Always the dense reference tableau.
-    Dense,
+/// Feasibility tolerance for simplex basic values and constraint checks.
+pub(crate) const FEAS_TOL: f64 = 1e-7;
+/// Reduced-cost optimality tolerance.
+pub(crate) const OPT_TOL: f64 = 1e-9;
+/// How far from integral a value may be and still count as integral.
+pub(crate) const INT_TOL: f64 = 1e-6;
+/// Maximum fixpoint passes of the classic presolve loop.
+pub(crate) const PRESOLVE_PASSES: usize = 4;
+/// Work budget for 0-1 probing: tentative fix-and-propagate runs (a
+/// single-binary probe costs two, a co-occurring pair probe four).
+const PROBE_BUDGET: usize = 512;
+/// Maximum cutting planes appended to the root LP across all rounds.
+const MAX_CUTS: usize = 64;
+/// Root LPs with at least this many `rows + structural columns` run on the
+/// sparse revised kernel; smaller ones keep the dense tableau. Forcing the
+/// sparse kernel on the small side (xerox10's topology LPs) moved the
+/// paper-deck flow to another optimal vertex and made it about 1.6x slower
+/// (DESIGN.md §5.2).
+const SPARSE_MIN_DIMS: usize = 48;
+
+/// Solver internals that production never changes. [`Default`] fills them
+/// with the constants above; the differential test suites flip them (dense
+/// oracle, cold solves, unstrengthened solves, stress budgets) through
+/// [`crate::test_support`], the only way to reach them from outside the crate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Switches {
+    /// Forces the sparse (`Some(true)`) or dense (`Some(false)`) kernel;
+    /// `None` picks by size ([`SPARSE_MIN_DIMS`]).
+    pub(crate) kernel: Option<bool>,
+    /// Warm-start node LPs from the parent basis via the dual simplex.
+    pub(crate) warm_start: bool,
+    /// Run root strengthening (big-M tightening, probing, root cuts).
+    pub(crate) strengthen: bool,
+    /// Dual pivots per warm attempt before re-solving cold (`0` = auto).
+    pub(crate) warm_pivot_cap: usize,
+    /// Eta updates between sparse refactorizations (`0` = auto).
+    pub(crate) refactor_interval: usize,
+    /// See [`PROBE_BUDGET`].
+    pub(crate) probe_budget: usize,
+    /// See [`MAX_CUTS`].
+    pub(crate) max_cuts: usize,
 }
 
-impl SparseMode {
-    /// `Auto` switches to the sparse kernel when `rows + structural
-    /// columns` reaches this value. Calibrated so the knapsack family
-    /// (1 row + ≤30 columns) stays dense while the placement MILPs
-    /// (tens of rows and columns) go sparse.
-    pub const AUTO_THRESHOLD: usize = 48;
+impl Switches {
+    const PRODUCTION: Switches = Switches {
+        kernel: None,
+        warm_start: true,
+        strengthen: true,
+        warm_pivot_cap: 0,
+        refactor_interval: 0,
+        probe_budget: PROBE_BUDGET,
+        max_cuts: MAX_CUTS,
+    };
 
-    /// Resolves the mode against an instance's root dimensions: `true`
-    /// selects the sparse kernel.
-    #[must_use]
-    pub fn resolve(self, rows: usize, structural_cols: usize) -> bool {
-        match self {
-            SparseMode::Sparse => true,
-            SparseMode::Dense => false,
-            SparseMode::Auto => rows + structural_cols >= Self::AUTO_THRESHOLD,
-        }
+    /// Whether a solve whose root LP has these dimensions runs on the
+    /// sparse kernel.
+    pub(crate) fn sparse_kernel(&self, rows: usize, structural_cols: usize) -> bool {
+        self.kernel
+            .unwrap_or(rows + structural_cols >= SPARSE_MIN_DIMS)
     }
 }
 
-/// Tunable limits and tolerances for [`Model::solve_with`](crate::Model::solve_with).
+/// Limits and hooks for [`Model::solve_with`](crate::Model::solve_with).
 ///
-/// The defaults are sized for the floorplanner's augmentation subproblems
-/// (tens of binaries, a few hundred constraints). The paper relies on LINDO
-/// returning the optimum of each subproblem; the limits here exist so a
-/// pathological subproblem degrades to "best incumbent found" instead of
-/// hanging, which keeps the successive-augmentation loop linear-time in
-/// practice (Table 1's claim).
+/// The paper calls LINDO "as a procedure": a black box with node and time
+/// limits. This is that surface. The defaults are sized for the
+/// floorplanner's augmentation subproblems (tens of binaries, a few hundred
+/// constraints); the limits exist so a pathological subproblem degrades to
+/// "best incumbent found" instead of hanging, which keeps the
+/// successive-augmentation loop linear-time in practice (Table 1's claim).
+/// Tolerances, presolve and strengthening budgets, and the simplex kernel
+/// are fixed inside the solver (the kernel is picked from the root LP's
+/// size).
 ///
 /// ```
 /// let opts = fp_milp::SolveOptions::default().with_node_limit(1_000);
@@ -119,15 +142,6 @@ pub struct SolveOptions {
     pub node_limit: usize,
     /// Wall-clock budget for the whole solve.
     pub time_limit: Duration,
-    /// Feasibility tolerance for simplex basic values and constraint checks.
-    pub feas_tol: f64,
-    /// Reduced-cost optimality tolerance.
-    pub opt_tol: f64,
-    /// How far from integral a value may be and still count as integral.
-    pub int_tol: f64,
-    /// Accept any incumbent whose objective is within this absolute gap of
-    /// the best bound and stop early. `0.0` demands a proven optimum.
-    pub absolute_gap: f64,
     /// Worker threads for the branch-and-bound search. Values `<= 1` select
     /// the serial solver, which visits nodes in a deterministic dive-first
     /// DFS order; larger values share the frontier between that many
@@ -136,49 +150,6 @@ pub struct SolveOptions {
     /// the same model gives the same answer on any machine; parallel search
     /// is opt-in through [`SolveOptions::with_threads`].
     pub threads: usize,
-    /// Warm-start each node's LP from its parent's optimal basis via the
-    /// dual simplex instead of re-running two-phase primal from scratch.
-    /// Purely a performance lever: any numerical doubt falls back to the
-    /// cold solve, so results are identical either way. Default `true`.
-    pub warm_start: bool,
-    /// Maximum dual-simplex pivots per warm attempt before giving up and
-    /// re-solving cold. `0` (the default) sizes the cap automatically from
-    /// the row count.
-    pub warm_pivot_cap: usize,
-    /// Which kernel solves node LPs: the sparse revised simplex (CSC
-    /// matrix, LU-factored basis with eta-file updates, partial pricing),
-    /// the dense reference tableau, or a per-instance automatic choice.
-    /// Both kernels implement identical pivot rules and are held equal by a
-    /// differential test suite, so this only changes speed. Default
-    /// [`SparseMode::Auto`]; [`SolveOptions::with_sparse`] still forces a
-    /// kernel explicitly.
-    pub sparse: SparseMode,
-    /// Eta-file updates tolerated between basis refactorizations on the
-    /// sparse kernel. Smaller values trade factorization time for tighter
-    /// numerical drift control; `0` (the default) picks automatically.
-    /// Ignored by the dense kernel, which refactorizes never (it carries
-    /// `B⁻¹·A` explicitly). Sits alongside [`Self::warm_pivot_cap`] in the
-    /// numerics-vs-speed knob family.
-    pub refactor_interval: usize,
-    /// Run the root model-strengthening layer (big-M coefficient
-    /// tightening, 0-1 probing, root cutting planes) after classic
-    /// presolve. Purely a performance lever: every reduction preserves the
-    /// set of integer-feasible points, so the proven objective is identical
-    /// either way. Default `true`.
-    pub strengthen: bool,
-    /// Work budget for 0-1 probing: the maximum number of tentative
-    /// fix-and-propagate runs (each single-binary probe costs two, each
-    /// co-occurring pair probe costs four). `0` disables probing while
-    /// keeping coefficient tightening and knapsack cover cuts.
-    pub probe_budget: usize,
-    /// Maximum cutting planes appended to the root LP across all
-    /// separation rounds. `0` disables cut generation.
-    pub max_cuts: usize,
-    /// Maximum fixpoint passes of the classic presolve loop (singleton
-    /// folding, activity bounds, implied/integral tightening). The number
-    /// actually run is reported in
-    /// [`SolveStats::presolve_passes`](crate::SolveStats::presolve_passes).
-    pub presolve_passes: usize,
     /// An externally known objective value (in the model's sense) that the
     /// search must strictly beat — typically the cost of a solution another
     /// solver already holds. Branch-and-bound prunes against it from the
@@ -206,6 +177,8 @@ pub struct SolveOptions {
     /// Store key the committed root basis is *published* under — typically
     /// this instance's own fingerprint.
     pub basis_publish_key: u64,
+    /// Internals fixed in production; see [`Switches`].
+    pub(crate) switches: Switches,
 }
 
 impl Default for SolveOptions {
@@ -213,24 +186,13 @@ impl Default for SolveOptions {
         SolveOptions {
             node_limit: 200_000,
             time_limit: Duration::from_secs(120),
-            feas_tol: 1e-7,
-            opt_tol: 1e-9,
-            int_tol: 1e-6,
-            absolute_gap: 0.0,
             threads: 1,
-            warm_start: true,
-            warm_pivot_cap: 0,
-            sparse: SparseMode::Auto,
-            refactor_interval: 0,
-            strengthen: true,
-            probe_budget: 512,
-            max_cuts: 64,
-            presolve_passes: 4,
             initial_upper_bound: f64::INFINITY,
             stop: StopFlag::disabled(),
             basis_store: None,
             basis_load_key: 0,
             basis_publish_key: 0,
+            switches: Switches::PRODUCTION,
         }
     }
 }
@@ -250,90 +212,11 @@ impl SolveOptions {
         self
     }
 
-    /// Returns options accepting incumbents within `gap` of the best bound.
-    #[must_use]
-    pub fn with_absolute_gap(mut self, gap: f64) -> Self {
-        self.absolute_gap = gap;
-        self
-    }
-
     /// Returns options running the search on `threads` workers. `1` (or `0`,
     /// which is treated as `1`) selects the deterministic serial solver.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Returns options with warm-started node LPs enabled or disabled.
-    #[must_use]
-    pub fn with_warm_start(mut self, warm: bool) -> Self {
-        self.warm_start = warm;
-        self
-    }
-
-    /// Returns options with the given per-node dual pivot cap (`0` = auto).
-    #[must_use]
-    pub fn with_warm_pivot_cap(mut self, cap: usize) -> Self {
-        self.warm_pivot_cap = cap;
-        self
-    }
-
-    /// Returns options forcing a kernel: the sparse revised simplex
-    /// (`true`) or the dense reference tableau (`false`), overriding the
-    /// default per-instance [`SparseMode::Auto`] choice.
-    #[must_use]
-    pub fn with_sparse(mut self, sparse: bool) -> Self {
-        self.sparse = if sparse {
-            SparseMode::Sparse
-        } else {
-            SparseMode::Dense
-        };
-        self
-    }
-
-    /// Returns options with the given kernel-selection mode.
-    #[must_use]
-    pub fn with_sparse_mode(mut self, mode: SparseMode) -> Self {
-        self.sparse = mode;
-        self
-    }
-
-    /// Returns options with the given eta-update budget between basis
-    /// refactorizations (`0` = auto; ignored by the dense kernel).
-    #[must_use]
-    pub fn with_refactor_interval(mut self, interval: usize) -> Self {
-        self.refactor_interval = interval;
-        self
-    }
-
-    /// Returns options with root model strengthening enabled or disabled.
-    #[must_use]
-    pub fn with_strengthen(mut self, on: bool) -> Self {
-        self.strengthen = on;
-        self
-    }
-
-    /// Returns options with the given probing work budget (`0` disables
-    /// probing).
-    #[must_use]
-    pub fn with_probe_budget(mut self, probes: usize) -> Self {
-        self.probe_budget = probes;
-        self
-    }
-
-    /// Returns options with the given root-cut cap (`0` disables cuts).
-    #[must_use]
-    pub fn with_max_cuts(mut self, cuts: usize) -> Self {
-        self.max_cuts = cuts;
-        self
-    }
-
-    /// Returns options with the given presolve fixpoint pass cap (values
-    /// `< 1` are treated as `1`; one pass always runs).
-    #[must_use]
-    pub fn with_presolve_passes(mut self, passes: usize) -> Self {
-        self.presolve_passes = passes;
         self
     }
 
@@ -380,28 +263,25 @@ mod tests {
     fn builder_chains() {
         let o = SolveOptions::default()
             .with_node_limit(5)
-            .with_time_limit(Duration::from_millis(10))
-            .with_absolute_gap(0.5);
+            .with_time_limit(Duration::from_millis(10));
         assert_eq!(o.node_limit, 5);
         assert_eq!(o.time_limit, Duration::from_millis(10));
-        assert_eq!(o.absolute_gap, 0.5);
     }
 
     #[test]
     fn defaults_are_sane() {
         let o = SolveOptions::default();
-        assert!(o.feas_tol > 0.0 && o.feas_tol < 1e-3);
-        assert!(o.int_tol >= o.feas_tol / 10.0);
+        const {
+            assert!(FEAS_TOL > 0.0 && FEAS_TOL < 1e-3);
+            assert!(INT_TOL >= FEAS_TOL / 10.0);
+            assert!(PRESOLVE_PASSES >= 1);
+        }
         assert!(o.node_limit > 1_000);
         assert_eq!(o.threads, 1);
-        assert!(o.warm_start);
-        assert_eq!(o.warm_pivot_cap, 0);
-        assert_eq!(o.sparse, SparseMode::Auto);
-        assert_eq!(o.refactor_interval, 0);
-        assert!(o.strengthen);
-        assert!(o.probe_budget > 0);
-        assert!(o.max_cuts > 0);
-        assert!(o.presolve_passes >= 1);
+        assert_eq!(o.switches, Switches::PRODUCTION);
+        assert!(o.switches.warm_start && o.switches.strengthen);
+        assert_eq!(o.switches.kernel, None);
+        assert!(o.switches.probe_budget > 0 && o.switches.max_cuts > 0);
         assert!(o.initial_upper_bound.is_infinite());
         assert!(!o.stop.is_set());
     }
@@ -435,57 +315,24 @@ mod tests {
     }
 
     #[test]
-    fn strengthen_builders() {
-        let o = SolveOptions::default()
-            .with_strengthen(false)
-            .with_probe_budget(17)
-            .with_max_cuts(3)
-            .with_presolve_passes(9);
-        assert!(!o.strengthen);
-        assert_eq!(o.probe_budget, 17);
-        assert_eq!(o.max_cuts, 3);
-        assert_eq!(o.presolve_passes, 9);
-    }
-
-    #[test]
-    fn warm_start_builders() {
-        let o = SolveOptions::default()
-            .with_warm_start(false)
-            .with_warm_pivot_cap(7);
-        assert!(!o.warm_start);
-        assert_eq!(o.warm_pivot_cap, 7);
-    }
-
-    #[test]
-    fn sparse_builders() {
-        let o = SolveOptions::default()
-            .with_sparse(false)
-            .with_refactor_interval(16);
-        assert_eq!(o.sparse, SparseMode::Dense);
-        assert_eq!(o.refactor_interval, 16);
-        assert_eq!(
-            SolveOptions::default().with_sparse(true).sparse,
-            SparseMode::Sparse
-        );
-        assert_eq!(
-            SolveOptions::default()
-                .with_sparse_mode(SparseMode::Auto)
-                .sparse,
-            SparseMode::Auto
-        );
-    }
-
-    #[test]
-    fn sparse_mode_resolution() {
-        // Forced modes ignore the dimensions entirely.
-        assert!(SparseMode::Sparse.resolve(0, 0));
-        assert!(!SparseMode::Dense.resolve(1_000, 1_000));
-        // Auto: knapsack-sized stays dense, placement-sized goes sparse.
-        assert!(!SparseMode::Auto.resolve(1, 22)); // knapsack22
-        assert!(SparseMode::Auto.resolve(32, 21)); // placement4
-        let t = SparseMode::AUTO_THRESHOLD;
-        assert!(!SparseMode::Auto.resolve(t - 1, 0));
-        assert!(SparseMode::Auto.resolve(t, 0));
+    fn kernel_size_rule_boundary() {
+        let size_rule = Switches::PRODUCTION;
+        // 47 dims stay on the dense tableau, 48 go sparse, however the
+        // dimensions split between rows and columns.
+        assert!(!size_rule.sparse_kernel(47, 0));
+        assert!(!size_rule.sparse_kernel(20, 27));
+        assert!(size_rule.sparse_kernel(48, 0));
+        assert!(size_rule.sparse_kernel(21, 27));
+        // Knapsack-sized stays dense, placement-sized goes sparse.
+        assert!(!size_rule.sparse_kernel(1, 22));
+        assert!(size_rule.sparse_kernel(32, 21));
+        // A forced kernel ignores the dimensions entirely.
+        let forced = |sparse| Switches {
+            kernel: Some(sparse),
+            ..Switches::PRODUCTION
+        };
+        assert!(forced(true).sparse_kernel(0, 0));
+        assert!(!forced(false).sparse_kernel(1_000, 1_000));
     }
 
     #[test]

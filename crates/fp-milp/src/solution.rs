@@ -52,13 +52,11 @@ pub struct SolveStats {
     /// that fell back on numerical trouble).
     pub cold_nodes: usize,
     /// Total basis LU (re)factorizations across all node LPs. Zero when the
-    /// dense reference kernel is selected
-    /// ([`SolveOptions::sparse`](crate::SolveOptions::sparse) = `false`),
-    /// since the dense tableau never factorizes.
+    /// root LP is small enough (under 48 `rows + structural columns`) to run
+    /// on the dense tableau, which never factorizes.
     pub refactorizations: usize,
     /// Total eta-file basis updates recorded between refactorizations
-    /// across all node LPs (sparse kernel only; see
-    /// [`SolveOptions::refactor_interval`](crate::SolveOptions::refactor_interval)).
+    /// across all node LPs (sparse kernel only).
     pub eta_updates: usize,
     /// Wall-clock time of the solve.
     pub elapsed: Duration,
@@ -66,8 +64,7 @@ pub struct SolveStats {
     pub threads: usize,
     /// Per-worker node and pivot counts; length equals [`threads`](Self::threads).
     pub per_thread: Vec<ThreadStats>,
-    /// Classic presolve fixpoint passes actually run (capped by
-    /// [`SolveOptions::presolve_passes`](crate::SolveOptions::presolve_passes)).
+    /// Classic presolve fixpoint passes actually run (at most 4).
     pub presolve_passes: usize,
     /// Rows whose big-M / binary coefficients were tightened at the root.
     pub rows_tightened: usize,

@@ -1,12 +1,75 @@
-//! Test-only probes into the sparse revised simplex kernel.
+//! Test-only switches and probes into the solver internals.
 //!
-//! Hidden from docs and semver guarantees: this module exists so the
-//! integration-level property tests (`tests/prop_solver.rs`) can measure
-//! internal invariants — the LU + eta-file basis round-trip — that have no
-//! business in the public API. Nothing here is stable.
+//! Hidden from docs and semver guarantees. Production solves run every
+//! internal at a fixed value; this module is the one way to flip them from
+//! outside the crate, so the differential suites can compare the default
+//! solver against its oracles — the dense tableau (`sparse_equivalence`),
+//! cold node solves (`warm_equivalence`), unstrengthened solves
+//! (`strengthen_equivalence`, `strengthen_regression`) — and stress the
+//! numerics knobs. It also measures internal invariants, such as the
+//! LU + eta-file basis round-trip, that have no business in the public
+//! API. Nothing here is stable.
 
 use crate::model::Model;
+use crate::options::{SolveOptions, FEAS_TOL, OPT_TOL};
 use crate::simplex::{LpConfig, LpOutcome, LpProblem, SparseRow, Workspace};
+
+/// Forces the sparse revised kernel (`true`) or the dense reference tableau
+/// (`false`) regardless of the size rule.
+#[must_use]
+pub fn force_kernel(mut opts: SolveOptions, sparse: bool) -> SolveOptions {
+    opts.switches.kernel = Some(sparse);
+    opts
+}
+
+/// Whether a default solve whose root LP has `rows` rows and
+/// `structural_cols` columns runs on the sparse kernel: the solver's own
+/// size rule.
+#[must_use]
+pub fn size_rule_picks_sparse(rows: usize, structural_cols: usize) -> bool {
+    SolveOptions::default()
+        .switches
+        .sparse_kernel(rows, structural_cols)
+}
+
+/// Solves every node LP cold (two-phase primal) instead of warm-starting
+/// the dual simplex from the parent basis; also ignores any basis store.
+#[must_use]
+pub fn cold(mut opts: SolveOptions) -> SolveOptions {
+    opts.switches.warm_start = false;
+    opts
+}
+
+/// Skips root strengthening: no big-M tightening, probing or root cuts.
+#[must_use]
+pub fn unstrengthened(mut opts: SolveOptions) -> SolveOptions {
+    opts.switches.strengthen = false;
+    opts
+}
+
+/// Keeps strengthening on but with zero probing and root-cut budgets.
+#[must_use]
+pub fn starved(mut opts: SolveOptions) -> SolveOptions {
+    opts.switches.probe_budget = 0;
+    opts.switches.max_cuts = 0;
+    opts
+}
+
+/// Caps dual pivots per warm attempt before the node re-solves cold
+/// (`0` = auto).
+#[must_use]
+pub fn warm_pivot_cap(mut opts: SolveOptions, cap: usize) -> SolveOptions {
+    opts.switches.warm_pivot_cap = cap;
+    opts
+}
+
+/// Sets the eta updates tolerated between sparse refactorizations
+/// (`0` = auto; ignored by the dense kernel).
+#[must_use]
+pub fn refactor_interval(mut opts: SolveOptions, interval: usize) -> SolveOptions {
+    opts.switches.refactor_interval = interval;
+    opts
+}
 
 /// What [`sparse_root_lp_probe`] measured on one root-LP solve.
 #[derive(Debug, Clone, Copy)]
@@ -60,8 +123,8 @@ pub fn sparse_root_lp_probe(model: &Model, refactor_interval: usize) -> LuProbe 
         ub: &ub,
     };
     let cfg = LpConfig {
-        feas_tol: 1e-7,
-        opt_tol: 1e-9,
+        feas_tol: FEAS_TOL,
+        opt_tol: OPT_TOL,
         deadline: None,
         warm_pivot_cap: 0,
         sparse: true,

@@ -1,8 +1,9 @@
 //! Dense vs sparse kernel equivalence: the sparse revised simplex is a
 //! performance lever, never a semantics lever. Every suite here solves the
-//! same model on the dense reference tableau (`with_sparse(false)`) and on
-//! the sparse LU + eta-file kernel (the default), serial and parallel, and
-//! requires identical proven objectives and identical feasibility verdicts.
+//! same model on the dense reference tableau and on the sparse LU + eta-file
+//! kernel (both forced through `test_support::force_kernel`), serial and
+//! parallel, and requires identical proven objectives and identical
+//! feasibility verdicts.
 //! Degenerate structure — duplicated equalities, rank-deficient row sets,
 //! zero-cost ties — gets its own cases, and a highly degenerate instance
 //! runs under a hard pivot-count watchdog so a cycling regression fails
@@ -11,9 +12,8 @@
 mod common;
 
 use common::{classic_cases, parallel, random_milp, serial};
-use fp_milp::{
-    LinExpr, Model, Optimality, Sense, Solution, SolveError, SolveOptions, SparseMode, Var,
-};
+use fp_milp::test_support::{force_kernel, refactor_interval};
+use fp_milp::{LinExpr, Model, Optimality, Sense, Solution, SolveError, SolveOptions, Var};
 use std::sync::mpsc;
 use std::time::Duration;
 
@@ -28,15 +28,15 @@ fn close(a: f64, b: f64) -> bool {
 }
 
 fn dense_serial() -> SolveOptions {
-    serial().with_sparse(false)
+    force_kernel(serial(), false)
 }
 
 fn sparse_serial() -> SolveOptions {
-    serial().with_sparse(true)
+    force_kernel(serial(), true)
 }
 
 fn sparse_parallel() -> SolveOptions {
-    parallel().with_sparse(true)
+    force_kernel(parallel(), true)
 }
 
 /// Solves `model` under `opts` expecting proven optimality and a feasible
@@ -54,21 +54,26 @@ fn proven(model: &Model, opts: &SolveOptions, what: &str) -> Solution {
         model.is_feasible(sol.values(), 1e-6),
         "{what}: proven incumbent violates the model"
     );
-    if opts.sparse == SparseMode::Dense {
-        let stats = sol.stats();
-        assert_eq!(
-            (stats.refactorizations, stats.eta_updates),
-            (0, 0),
-            "{what}: dense kernel must not report factorization work"
-        );
-    }
+    sol
+}
+
+/// [`proven`] on the dense reference tableau, which must report no
+/// factorization work.
+fn proven_dense(model: &Model, what: &str) -> Solution {
+    let sol = proven(model, &dense_serial(), what);
+    let stats = sol.stats();
+    assert_eq!(
+        (stats.refactorizations, stats.eta_updates),
+        (0, 0),
+        "{what}: dense kernel must not report factorization work"
+    );
     sol
 }
 
 /// Solves dense-serial, sparse-serial and sparse-parallel and requires the
 /// three proven objectives to coincide; returns the agreed objective.
 fn assert_three_way(model: &Model, what: &str) -> f64 {
-    let dense = proven(model, &dense_serial(), &format!("{what} [dense]")).objective();
+    let dense = proven_dense(model, &format!("{what} [dense]")).objective();
     let sparse = proven(model, &sparse_serial(), &format!("{what} [sparse]")).objective();
     let par = proven(model, &sparse_parallel(), &format!("{what} [sparse-par]")).objective();
     assert!(
@@ -94,15 +99,15 @@ fn classics_agree_dense_vs_sparse() {
     }
 }
 
-/// `SparseMode::Auto` is a dispatch policy, never a semantics lever: on
-/// every classic case it must prove the same objective as both forced
-/// kernels, whichever side of the size threshold the instance lands on.
+/// The size rule is a dispatch policy, never a semantics lever: on every
+/// classic case the default solve must prove the same objective as both
+/// forced kernels, whichever side of the size threshold the instance lands
+/// on.
 #[test]
-fn auto_mode_matches_forced_kernels() {
+fn size_rule_matches_forced_kernels() {
     for (name, build) in classic_cases() {
         let (model, expected) = build();
-        let opts = serial().with_sparse_mode(SparseMode::Auto);
-        let obj = proven(&model, &opts, &format!("{name} [auto]")).objective();
+        let obj = proven(&model, &serial(), &format!("{name} [auto]")).objective();
         assert!(
             close(obj, expected),
             "{name} [auto]: {obj} != known optimum {expected}"
@@ -116,7 +121,7 @@ fn seeded_models_agree_dense_vs_sparse() {
     for seed in 0..32u64 {
         let model = random_milp(seed);
         let what = format!("seed {seed}");
-        let dense = proven(&model, &dense_serial(), &format!("{what} [dense]"));
+        let dense = proven_dense(&model, &format!("{what} [dense]"));
         let sparse = proven(&model, &sparse_serial(), &format!("{what} [sparse]"));
         let par = proven(&model, &sparse_parallel(), &format!("{what} [sparse-par]"));
         let (d, s, p) = (dense.objective(), sparse.objective(), par.objective());
@@ -271,9 +276,9 @@ fn refactor_interval_extremes_agree() {
     for seed in [2u64, 7, 11] {
         let model = random_milp(seed);
         let what = format!("seed {seed}");
-        let reference = proven(&model, &dense_serial(), &format!("{what} [dense]")).objective();
+        let reference = proven_dense(&model, &format!("{what} [dense]")).objective();
         for interval in [1usize, 1_000_000] {
-            let opts = sparse_serial().with_refactor_interval(interval);
+            let opts = refactor_interval(sparse_serial(), interval);
             let got = proven(&model, &opts, &format!("{what} [interval {interval}]")).objective();
             assert!(
                 close(reference, got),

@@ -1,14 +1,15 @@
 //! Strengthening equivalence: probing presolve, coefficient tightening and
 //! root cuts are a performance lever, never a semantics lever. Every suite
-//! solves the same model with strengthening off (`with_strengthen(false)`,
-//! the pre-strengthening behavior) and on, serial and parallel, and
-//! requires identical proven objectives plus feasibility of the returned
-//! point in the *original* model.
+//! solves the same model with strengthening off
+//! (`test_support::unstrengthened`, the pre-strengthening behavior) and on,
+//! serial and parallel, and requires identical proven objectives plus
+//! feasibility of the returned point in the *original* model.
 
 mod common;
 
 use common::{classic_cases, parallel, random_milp, serial};
-use fp_milp::{Model, Optimality, SolveOptions};
+use fp_milp::test_support::{cold, starved, unstrengthened};
+use fp_milp::{Model, Optimality, Solution, SolveOptions};
 
 const TOL: f64 = 1e-9;
 const FEAS_TOL: f64 = 1e-6;
@@ -17,9 +18,9 @@ fn close(a: f64, b: f64) -> bool {
     (a - b).abs() <= TOL * (1.0 + a.abs().max(b.abs()))
 }
 
-/// Solves `model` under `opts` expecting proven optimality; returns the
-/// objective after asserting the point satisfies the original model.
-fn proven(model: &Model, opts: &SolveOptions, what: &str) -> f64 {
+/// Solves `model` under `opts` expecting proven optimality and a point
+/// that satisfies the original model.
+fn proven_solution(model: &Model, opts: &SolveOptions, what: &str) -> Solution {
     let sol = model
         .solve_with(opts)
         .unwrap_or_else(|e| panic!("{what}: {e:?}"));
@@ -32,19 +33,28 @@ fn proven(model: &Model, opts: &SolveOptions, what: &str) -> f64 {
         model.is_feasible(sol.values(), FEAS_TOL),
         "{what}: returned point violates the original (unstrengthened) model"
     );
+    sol
+}
+
+fn proven(model: &Model, opts: &SolveOptions, what: &str) -> f64 {
+    proven_solution(model, opts, what).objective()
+}
+
+/// [`proven`] with strengthening switched off: no strengthening counter
+/// may move.
+fn proven_off(model: &Model, what: &str) -> f64 {
+    let sol = proven_solution(model, &unstrengthened(serial()), what);
     let stats = sol.stats();
-    if !opts.strengthen {
-        assert_eq!(
-            (
-                stats.rows_tightened,
-                stats.binaries_fixed,
-                stats.implications,
-                stats.cuts_added
-            ),
-            (0, 0, 0, 0),
-            "{what}: strengthening counters moved while disabled"
-        );
-    }
+    assert_eq!(
+        (
+            stats.rows_tightened,
+            stats.binaries_fixed,
+            stats.implications,
+            stats.cuts_added
+        ),
+        (0, 0, 0, 0),
+        "{what}: strengthening counters moved while disabled"
+    );
     sol.objective()
 }
 
@@ -52,7 +62,7 @@ fn proven(model: &Model, opts: &SolveOptions, what: &str) -> f64 {
 fn classics_agree_strengthen_on_vs_off() {
     for (name, build) in classic_cases() {
         let (model, expected) = build();
-        let off = proven(&model, &serial().with_strengthen(false), name);
+        let off = proven_off(&model, name);
         let on = proven(&model, &serial(), name);
         let par_on = proven(&model, &parallel(), name);
         assert!(close(off, expected), "{name}: off {off} != {expected}");
@@ -70,7 +80,7 @@ fn seeded_models_agree_strengthen_on_vs_off() {
     for seed in 0..20u64 {
         let model = random_milp(seed);
         let what = format!("seed {seed}");
-        let off = proven(&model, &serial().with_strengthen(false), &what);
+        let off = proven_off(&model, &what);
         let on_sol = model.solve_with(&serial()).expect("feasible");
         assert_eq!(on_sol.optimality(), Optimality::Proven, "{what}");
         assert!(
@@ -104,9 +114,8 @@ fn zero_budgets_match_off_objectives() {
     for seed in [1u64, 5, 13] {
         let model = random_milp(seed);
         let what = format!("starved seed {seed}");
-        let off = proven(&model, &serial().with_strengthen(false), &what);
-        let starved = serial().with_probe_budget(0).with_max_cuts(0);
-        let starved_obj = proven(&model, &starved, &what);
+        let off = proven_off(&model, &what);
+        let starved_obj = proven(&model, &starved(serial()), &what);
         assert!(
             close(off, starved_obj),
             "{what}: starved {starved_obj} != off {off}"
@@ -120,7 +129,7 @@ fn zero_budgets_match_off_objectives() {
 fn strengthening_composes_with_cold_solves() {
     for (name, build) in classic_cases() {
         let (model, expected) = build();
-        let cold_on = proven(&model, &serial().with_warm_start(false), name);
+        let cold_on = proven(&model, &cold(serial()), name);
         assert!(
             close(cold_on, expected),
             "{name}: cold+strengthen {cold_on} != {expected}"

@@ -1,12 +1,13 @@
 //! Warm-start equivalence: warm-started dual simplex is a performance
 //! lever, never a semantics lever. Every suite here solves the same model
-//! cold (`with_warm_start(false)`, the pre-warm-start behavior) and warm,
+//! cold (`test_support::cold`, the pre-warm-start behavior) and warm,
 //! serial and parallel, and requires identical proven objectives.
 
 mod common;
 
 use common::{classic_cases, parallel, random_milp, serial};
-use fp_milp::{Model, Optimality, Sense, SolveOptions};
+use fp_milp::test_support::{cold, warm_pivot_cap};
+use fp_milp::{Model, Optimality, Sense, Solution, SolveOptions};
 
 const TOL: f64 = 1e-9;
 
@@ -15,7 +16,7 @@ fn close(a: f64, b: f64) -> bool {
 }
 
 /// Solves `model` under `opts` expecting proven optimality.
-fn proven(model: &Model, opts: &SolveOptions, what: &str) -> f64 {
+fn proven_solution(model: &Model, opts: &SolveOptions, what: &str) -> Solution {
     let sol = model
         .solve_with(opts)
         .unwrap_or_else(|e| panic!("{what}: {e:?}"));
@@ -30,9 +31,21 @@ fn proven(model: &Model, opts: &SolveOptions, what: &str) -> f64 {
         stats.nodes,
         "{what}: warm/cold counts must partition the node count"
     );
-    if !opts.warm_start {
-        assert_eq!(stats.warm_nodes, 0, "{what}: warm solves while disabled");
-    }
+    sol
+}
+
+fn proven(model: &Model, opts: &SolveOptions, what: &str) -> f64 {
+    proven_solution(model, opts, what).objective()
+}
+
+/// [`proven`] with warm starts switched off: no node may warm-start.
+fn proven_cold(model: &Model, what: &str) -> f64 {
+    let sol = proven_solution(model, &cold(serial()), what);
+    assert_eq!(
+        sol.stats().warm_nodes,
+        0,
+        "{what}: warm solves while disabled"
+    );
     sol.objective()
 }
 
@@ -40,7 +53,7 @@ fn proven(model: &Model, opts: &SolveOptions, what: &str) -> f64 {
 fn classics_agree_cold_vs_warm() {
     for (name, build) in classic_cases() {
         let (model, expected) = build();
-        let cold = proven(&model, &serial().with_warm_start(false), name);
+        let cold = proven_cold(&model, name);
         let warm = proven(&model, &serial(), name);
         let par_warm = proven(&model, &parallel(), name);
         assert!(close(cold, expected), "{name}: cold {cold} != {expected}");
@@ -58,7 +71,7 @@ fn seeded_models_agree_cold_vs_warm() {
     for seed in 0..20u64 {
         let model = random_milp(seed);
         let what = format!("seed {seed}");
-        let cold = proven(&model, &serial().with_warm_start(false), &what);
+        let cold = proven_cold(&model, &what);
         let warm_sol = model.solve_with(&serial()).expect("feasible");
         assert_eq!(warm_sol.optimality(), Optimality::Proven, "{what}");
         let par = proven(&model, &parallel(), &what);
@@ -97,11 +110,7 @@ fn degenerate_duplicated_rows_fall_back_and_stay_correct() {
         m.set_objective(3.0 * x + 2.0 * y + 1.0 * z);
         m
     };
-    let cold = proven(
-        &build(),
-        &serial().with_warm_start(false),
-        "degenerate cold",
-    );
+    let cold = proven_cold(&build(), "degenerate cold");
     let warm = proven(&build(), &serial(), "degenerate warm");
     assert!(close(cold, warm), "degenerate: warm {warm} != cold {cold}");
 }
@@ -113,8 +122,8 @@ fn tiny_pivot_cap_only_costs_time() {
     for seed in [2u64, 7, 11] {
         let model = random_milp(seed);
         let what = format!("capped seed {seed}");
-        let cold = proven(&model, &serial().with_warm_start(false), &what);
-        let capped_opts = serial().with_warm_pivot_cap(1);
+        let cold = proven_cold(&model, &what);
+        let capped_opts = warm_pivot_cap(serial(), 1);
         let capped_sol = model.solve_with(&capped_opts).expect("feasible");
         assert_eq!(capped_sol.optimality(), Optimality::Proven, "{what}");
         assert!(

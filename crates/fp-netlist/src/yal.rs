@@ -39,8 +39,8 @@ use crate::net::Net;
 use crate::netlist::Netlist;
 use std::collections::HashMap;
 
-/// Parses a YAL deck (see the [module docs](self) for the supported
-/// subset).
+/// Parses a YAL deck: `MODULE` blocks with `TYPE`, `DIMENSIONS` and
+/// `IOLIST`, and the `PARENT` block's `NETWORK` (PAD blocks are ignored).
 ///
 /// # Errors
 ///

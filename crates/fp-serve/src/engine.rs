@@ -393,7 +393,7 @@ pub(crate) struct Shared {
 /// response. While running, jobs in flight make `submitted` larger.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Jobs handed to [`submit`] (including ones later shed or refused).
+    /// Jobs handed to [`Client::submit`] (including ones later shed or refused).
     pub submitted: u64,
     /// Responses delivered that were not load-sheds (success, degraded,
     /// failure, and coalesced fan-outs alike).

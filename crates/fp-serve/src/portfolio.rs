@@ -213,7 +213,7 @@ fn analytic_leg(
 /// Each finishing leg publishes its `(cost, height)` to the shared
 /// incumbent; under a tight deadline (any-of mode) the MILP leg reads it
 /// as a branch-and-bound cutoff, so a fast heuristic answer tightens the
-/// search mid-race (see [`milp_leg`] for why best-of mode does not
+/// search mid-race (see `milp_leg` for why best-of mode does not
 /// inject it). Losers are cancelled through their stop flags:
 /// immediately in any-of-N mode, and after the decision in best-of-N
 /// (where everyone runs to completion anyway).

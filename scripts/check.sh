@@ -14,6 +14,12 @@ cargo fmt --all --check
 echo "== cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Rustdoc links are checked too, so a doc link to a renamed or deleted
+# item (a removed SolveOptions field, say) fails the gate instead of
+# rotting silently.
+echo "== cargo doc (deny warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps -q
+
 echo "== cargo test"
 cargo test --workspace -q
 
