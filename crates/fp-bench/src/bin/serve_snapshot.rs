@@ -1,18 +1,16 @@
 //! Writes `BENCH_SERVE.json`: the event-driven front end (sharded poll
-//! loops + single-flight coalescing) against the original
-//! thread-per-connection front end, on the same workload, plus an
-//! overload leg pinning the admission-control accounting.
+//! loops + single-flight coalescing) under many connections, plus
+//! overload, deadline and ECO legs.
 //!
 //! Usage: `serve_snapshot [OUT_PATH] [CONNS]` (default `BENCH_SERVE.json`,
-//! 1000 connections). Three legs:
+//! 1000 connections). Four legs:
 //!
-//! * `event` / `threaded` — CONNS concurrent connections, one job each,
-//!   50% of them one shared duplicate instance (evenly interleaved), the
-//!   cache off so dedup is pure coalescing. Each leg runs [`REPS`] times;
-//!   the reported rep is the median by wall time. Recorded per leg:
-//!   throughput, latency p50/p90/p99/max, solves, coalesced, and the
-//!   post-shutdown accounting (`accepted == completed + shed`). The
-//!   headline `throughput_speedup` is event/threaded.
+//! * `event` — CONNS concurrent connections, one job each, 50% of them
+//!   one shared duplicate instance (evenly interleaved), the cache off so
+//!   dedup is pure coalescing. The leg runs [`REPS`] times; the reported
+//!   rep is the median by wall time. Recorded: throughput, latency
+//!   p50/p90/p99/max, solves, coalesced, and the post-shutdown
+//!   accounting (`accepted == completed + shed`).
 //! * `overload` — open-loop 2x-capacity burst against a deliberately tiny
 //!   admission budget (1 worker, queue 2, per-shard bound 4): pins that
 //!   overload sheds with typed `retry_after_ms` instead of queueing
@@ -36,9 +34,7 @@
 //!   ratio <= 0.5 and the median area ratio <= 1.05 against it.
 
 use fp_netlist::generator::ProblemGenerator;
-use fp_serve::{
-    Backend, Engine, IoMode, JobRequest, JobResponse, ServeConfig, Server, ShutdownReport,
-};
+use fp_serve::{Backend, Engine, JobRequest, JobResponse, ServeConfig, Server, ShutdownReport};
 use std::io::{BufRead, BufReader, Write as _};
 use std::net::TcpStream;
 use std::time::Instant;
@@ -91,9 +87,8 @@ fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
 }
 
 /// One rep: CONNS concurrent connections, one request/response each.
-fn drive(io: IoMode, conns: usize) -> Measured {
+fn drive(conns: usize) -> Measured {
     let config = ServeConfig::default()
-        .with_io(io)
         .with_workers(2)
         .with_cache_capacity(0)
         .with_queue_capacity(4 * conns.max(16))
@@ -147,8 +142,8 @@ fn drive(io: IoMode, conns: usize) -> Measured {
     }
 }
 
-fn median_rep(io: IoMode, conns: usize) -> Measured {
-    let mut runs: Vec<Measured> = (0..REPS).map(|_| drive(io, conns)).collect();
+fn median_rep(conns: usize) -> Measured {
+    let mut runs: Vec<Measured> = (0..REPS).map(|_| drive(conns)).collect();
     runs.sort_by(|a, b| a.wall_s.total_cmp(&b.wall_s));
     runs.swap_remove(REPS / 2)
 }
@@ -168,7 +163,6 @@ struct Overload {
 /// admission budget must produce typed sheds and balanced books.
 fn drive_overload(jobs: u64) -> Overload {
     let config = ServeConfig::default()
-        .with_io(IoMode::Event)
         .with_shards(1)
         .with_workers(1)
         .with_queue_capacity(2)
@@ -471,32 +465,25 @@ fn main() {
         .get(1)
         .map_or(1000, |s| s.parse().expect("CONNS must be a number"));
 
-    let event = median_rep(IoMode::Event, conns);
+    let event = median_rep(conns);
     eprintln!(
         "event: {:.1} jobs/s, p99 {:.1}ms, {} solves / {} coalesced",
         event.throughput, event.p99_ms, event.solves, event.coalesced
     );
-    let threaded = median_rep(IoMode::Threaded, conns);
-    eprintln!(
-        "threaded: {:.1} jobs/s, p99 {:.1}ms, {} solves / {} coalesced",
-        threaded.throughput, threaded.p99_ms, threaded.solves, threaded.coalesced
+    let acc = event.report.accounting;
+    assert_eq!(acc.accepted as usize, conns, "event: every job accepted");
+    assert_eq!(
+        acc.accepted,
+        acc.completed + acc.shed,
+        "event: books must balance"
     );
-    for (leg, m) in [("event", &event), ("threaded", &threaded)] {
-        let acc = m.report.accounting;
-        assert_eq!(acc.accepted as usize, conns, "{leg}: every job accepted");
-        assert_eq!(
-            acc.accepted,
-            acc.completed + acc.shed,
-            "{leg}: books must balance"
-        );
-        // The duplicate share must actually dedup: at most the distinct
-        // half plus the handful of shared-instance leader solves.
-        assert!(
-            m.solves <= (conns as u64) * 55 / 100,
-            "{leg}: {} solves out of {conns} jobs — coalescing not engaging",
-            m.solves
-        );
-    }
+    // The duplicate share must actually dedup: at most the distinct half
+    // plus the handful of shared-instance leader solves.
+    assert!(
+        event.solves <= (conns as u64) * 55 / 100,
+        "event: {} solves out of {conns} jobs — coalescing not engaging",
+        event.solves
+    );
 
     let overload = drive_overload(40);
     eprintln!(
@@ -527,27 +514,21 @@ fn main() {
 
     let eco = eco_leg_checked();
 
-    let speedup = event.throughput / threaded.throughput.max(1e-12);
     let json = format!(
         "{{\n  \"bench\": \"serve_io\",\n  \"reps\": {REPS},\n  \
          \"conns\": {conns},\n  \"dup_pct\": {DUP_PCT},\n  \
          \"modules\": {MODULES},\n  \
-         \"throughput_speedup\": {speedup:.3},\n  \
-         \"event\": {},\n  \"threaded\": {},\n  \
+         \"event\": {},\n  \
          \"overload\": {},\n  \
          \"deadline\": {{\"jobs\": {DL_JOBS}, \"modules\": {DL_MODULES}, \
          \"deadline_ms\": {DL_MS}, \"sequential\": {}, \"portfolio\": {}}},\n  \
          \"eco\": {}\n}}\n",
         leg_json(&event),
-        leg_json(&threaded),
         overload_json(&overload),
         deadline_json(&sequential),
         deadline_json(&portfolio),
         eco_json(&eco)
     );
     std::fs::write(&out_path, &json).expect("write snapshot");
-    eprintln!(
-        "event vs threaded throughput: {speedup:.2}x on {conns} conns \
-         ({DUP_PCT}% duplicates) -> {out_path}"
-    );
+    eprintln!("event: {conns} conns ({DUP_PCT}% duplicates) -> {out_path}");
 }

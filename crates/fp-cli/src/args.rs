@@ -11,7 +11,7 @@
 use fp_core::{Objective, OrderingStrategy};
 use fp_netlist::{ami33, format, generator::ProblemGenerator, Netlist};
 use fp_route::{RouteAlgorithm, RoutingMode};
-use fp_serve::{Backend, IoMode};
+use fp_serve::Backend;
 use std::time::Duration;
 
 /// A parsed invocation.
@@ -50,8 +50,6 @@ pub struct RunArgs {
     pub node_limit: usize,
     /// Per-step time limit.
     pub time_limit: Duration,
-    /// Solver threads (None = the serial default of `SolveOptions`).
-    pub threads: Option<usize>,
     /// Global routing algorithm.
     pub route: Option<RouteAlgorithm>,
     /// Routing mode.
@@ -80,8 +78,6 @@ pub struct ServeArgs {
     pub cache: usize,
     /// Per-step node limit for jobs.
     pub node_limit: usize,
-    /// Which front end: the sharded event loop or thread-per-connection.
-    pub io: IoMode,
     /// Event-loop shard count (0 = auto from available parallelism).
     pub shards: usize,
     /// Global job-queue capacity (the shedding admission bound).
@@ -165,7 +161,6 @@ pub fn parse_run_args<I: Iterator<Item = String>>(mut it: I) -> Result<RunArgs, 
         compact: false,
         node_limit: 20_000,
         time_limit: Duration::from_secs(10),
-        threads: None,
         route: None,
         mode: RoutingMode::AroundTheCell,
         ascii: false,
@@ -227,15 +222,6 @@ pub fn parse_run_args<I: Iterator<Item = String>>(mut it: I) -> Result<RunArgs, 
                     .and_then(positive_secs)
                     .ok_or("--time-limit wants a positive number of seconds")?;
             }
-            "--threads" => {
-                let n: usize = value("--threads")?
-                    .parse()
-                    .map_err(|_| "bad thread count")?;
-                if n == 0 {
-                    return Err("--threads wants at least 1".to_string());
-                }
-                args.threads = Some(n);
-            }
             "--route" => {
                 args.route = Some(match value("--route")?.as_str() {
                     "sp" => RouteAlgorithm::ShortestPath,
@@ -269,7 +255,6 @@ fn parse_serve_args<I: Iterator<Item = String>>(mut it: I) -> Result<ServeArgs, 
         workers: 2,
         cache: 128,
         node_limit: 4_000,
-        io: IoMode::Event,
         shards: 0,
         queue: 64,
         pending: 256,
@@ -300,13 +285,6 @@ fn parse_serve_args<I: Iterator<Item = String>>(mut it: I) -> Result<ServeArgs, 
                 args.node_limit = value("--node-limit")?
                     .parse()
                     .map_err(|_| "bad node limit")?;
-            }
-            "--io" => {
-                args.io = match value("--io")?.as_str() {
-                    "event" => IoMode::Event,
-                    "threads" => IoMode::Threaded,
-                    other => return Err(format!("unknown io mode '{other}' (event|threads)")),
-                };
             }
             "--shards" => {
                 args.shards = value("--shards")?.parse().map_err(|_| "bad shard count")?;
@@ -478,7 +456,7 @@ pub const HELP: &str = "usage: floorplan [INPUT.fp] [--ami33 | --random N:SEED]
   [--width W] [--objective area|wire[:LAMBDA]]
   [--ordering connectivity|random[:SEED]|area]
   [--envelopes] [--no-rotation] [--compact]
-  [--node-limit N] [--time-limit SECS] [--threads N]
+  [--node-limit N] [--time-limit SECS]
   [--route sp|wsp] [--mode over|around]
   [--ascii] [--svg FILE]
   [--trace FILE.jsonl] [--summary] [--portfolio]
@@ -491,15 +469,14 @@ pub const HELP: &str = "usage: floorplan [INPUT.fp] [--ami33 | --random N:SEED]
                  answer wins and the report names the winning backend
 
 usage: floorplan serve [--bind ADDR] [--workers N] [--cache N]
-  [--node-limit N] [--io event|threads] [--shards N] [--queue N]
+  [--node-limit N] [--shards N] [--queue N]
   [--pending N] [--max-line BYTES] [--trace FILE.jsonl]
   [--backends LIST] [--cache-file FILE.jsonl]
 
   serve floorplanning jobs over TCP, one JSON object per line in each
-  direction; --bind 127.0.0.1:0 picks an ephemeral port (printed on start)
-  --io event    sharded poll loops, request coalescing, load shedding
-                with typed retry_after_ms (the default)
-  --io threads  the original two-threads-per-connection front end
+  direction; --bind 127.0.0.1:0 picks an ephemeral port (printed on start).
+  Connections are spread over --shards N poll loops, identical requests
+  coalesce, and overload is shed with a typed retry_after_ms
   --queue N     global admission bound; --pending N per-shard bound
   --backends LIST  race these solver backends per job (comma-separated
                 from milp, annealer, analytic; default: the sequential
@@ -567,8 +544,6 @@ mod tests {
             "500",
             "--time-limit",
             "2.5",
-            "--threads",
-            "4",
             "--route",
             "wsp",
             "--mode",
@@ -588,7 +563,6 @@ mod tests {
         assert!(a.envelopes && !a.rotation && a.compact && a.ascii);
         assert_eq!(a.node_limit, 500);
         assert_eq!(a.time_limit, Duration::from_secs_f64(2.5));
-        assert_eq!(a.threads, Some(4));
         assert_eq!(a.route, Some(RouteAlgorithm::WeightedShortestPath));
         assert_eq!(a.mode, RoutingMode::OverTheCell);
         assert_eq!(a.svg.as_deref(), Some("out.svg"));
@@ -602,8 +576,8 @@ mod tests {
         assert!(parse(&["--random", "15"]).is_err());
         assert!(parse(&["--bogus"]).is_err());
         assert!(parse(&["--width"]).is_err());
-        assert!(parse(&["--threads", "0"]).is_err());
-        assert!(parse(&["--threads", "many"]).is_err());
+        // The solver is serial; there is no thread count to set.
+        assert!(parse(&["--ami33", "--threads", "4"]).is_err());
         assert!(parse(&["--trace"]).is_err());
         for bad in ["-1", "0", "nan", "inf", "1e30", "soon"] {
             assert!(
@@ -611,11 +585,6 @@ mod tests {
                 "--time-limit {bad}"
             );
         }
-    }
-
-    #[test]
-    fn threads_defaults_to_auto() {
-        assert_eq!(parse(&["--ami33"]).unwrap().threads, None);
     }
 
     #[test]
@@ -664,7 +633,6 @@ mod tests {
         assert_eq!(s.bind, "127.0.0.1:0");
         assert_eq!((s.workers, s.cache, s.node_limit), (4, 32, 900));
         assert_eq!(s.trace.as_deref(), Some("t.jsonl"));
-        assert_eq!(s.io, IoMode::Event);
         assert_eq!((s.shards, s.queue, s.pending), (0, 64, 256));
         assert!(s.backends.is_empty());
         assert!(command(&["serve", "--workers", "0"]).is_err());
@@ -690,8 +658,6 @@ mod tests {
     fn serve_io_flags_parse() {
         let Command::Serve(s) = command(&[
             "serve",
-            "--io",
-            "threads",
             "--shards",
             "2",
             "--queue",
@@ -704,9 +670,9 @@ mod tests {
         .unwrap() else {
             panic!("expected serve");
         };
-        assert_eq!(s.io, IoMode::Threaded);
         assert_eq!((s.shards, s.queue, s.pending, s.max_line), (2, 8, 16, 4096));
-        assert!(command(&["serve", "--io", "epoll"]).is_err());
+        // The event loop is the only front end; there is no mode to pick.
+        assert!(command(&["serve", "--io", "threads"]).is_err());
         assert!(command(&["serve", "--queue", "0"]).is_err());
         assert!(command(&["serve", "--max-line", "0"]).is_err());
     }

@@ -52,16 +52,11 @@ fn cmd_run(args: &RunArgs) -> Result<(), String> {
         .with_ordering(args.ordering.clone())
         .with_envelopes(args.envelopes)
         .with_rotation(args.rotation)
-        .with_step_options({
-            // Default thread count (no --threads): the serial solver.
-            let mut opts = fp_milp::SolveOptions::default()
+        .with_step_options(
+            fp_milp::SolveOptions::default()
                 .with_node_limit(args.node_limit)
-                .with_time_limit(args.time_limit);
-            if let Some(n) = args.threads {
-                opts = opts.with_threads(n);
-            }
-            opts
-        });
+                .with_time_limit(args.time_limit),
+        );
     if let Some(w) = args.width {
         config = config.with_chip_width(w);
     }
@@ -156,7 +151,6 @@ fn cmd_serve(args: &ServeArgs) -> Result<(), String> {
         .with_workers(args.workers)
         .with_cache_capacity(args.cache)
         .with_node_limit(args.node_limit)
-        .with_io(args.io)
         .with_queue_capacity(args.queue)
         .with_per_shard_pending(args.pending)
         .with_max_line_bytes(args.max_line)
@@ -180,14 +174,10 @@ fn cmd_serve(args: &ServeArgs) -> Result<(), String> {
         format!(", racing {}", names.join("+"))
     };
     println!(
-        "serving on {} ({} workers, cache {}, {}{portfolio})",
+        "serving on {} ({} workers, cache {}, {shards} event shards{portfolio})",
         server.local_addr(),
         args.workers,
         args.cache,
-        match args.io {
-            fp_serve::IoMode::Event => format!("{shards} event shards"),
-            fp_serve::IoMode::Threaded => "threaded io".to_string(),
-        }
     );
     std::io::stdout().flush().map_err(|e| e.to_string())?;
     server.wait();

@@ -241,12 +241,14 @@ impl FloorplanConfig {
         opts.with_stop(self.stop.clone())
     }
 
-    /// Sets the branch-and-bound worker-thread count for every step MILP.
-    /// `1` selects the deterministic serial solver; see
-    /// [`SolveOptions::threads`].
+    /// Does nothing: the step MILPs always run the one serial
+    /// branch-and-bound search, so there is no thread count to set. Kept
+    /// only so the standalone `perfbench` package, which pins the solver
+    /// serial through this call, still builds; delete it together with that
+    /// call.
+    #[doc(hidden)]
     #[must_use]
-    pub fn with_solver_threads(mut self, threads: usize) -> Self {
-        self.step_options = self.step_options.with_threads(threads);
+    pub fn with_solver_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -345,8 +347,7 @@ mod tests {
             .with_rotation(false)
             .with_pitches(0.2, 0.3)
             .with_soft_model(SoftShapeModel::Taylor)
-            .with_critical_nets(true)
-            .with_solver_threads(2);
+            .with_critical_nets(true);
         assert_eq!(c.chip_width, Some(100.0));
         assert_eq!(c.objective.lambda(), 2.0);
         assert_eq!(c.ordering, OrderingStrategy::Random(7));
@@ -356,6 +357,5 @@ mod tests {
         assert_eq!((c.pitch_h, c.pitch_v), (0.2, 0.3));
         assert_eq!(c.soft_model, SoftShapeModel::Taylor);
         assert!(c.enforce_critical_nets);
-        assert_eq!(c.step_options.threads, 2);
     }
 }

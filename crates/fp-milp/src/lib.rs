@@ -18,8 +18,9 @@
 //!   performance lever: every warm answer is re-verified or re-solved cold.
 //!
 //! Like LINDO in the paper, the solver is called "as a procedure":
-//! [`SolveOptions`] carries only node and time limits, a thread count, an
-//! objective cutoff, a cancellation flag and a cross-solve basis store.
+//! [`SolveOptions`] carries only node and time limits, an objective cutoff,
+//! a cancellation flag and a cross-solve basis store. The search is serial
+//! and deterministic: the same model gives the same answer on any machine.
 //! Tolerances, presolve and strengthening budgets and the kernel choice are
 //! fixed inside the crate.
 //!
@@ -87,5 +88,5 @@ pub use expr::LinExpr;
 pub use lp_parse::parse_lp;
 pub use model::{Cmp, Constraint, Model, Sense};
 pub use options::{SolveOptions, StopFlag};
-pub use solution::{Optimality, Solution, SolveStats, ThreadStats};
+pub use solution::{Optimality, Solution, SolveStats};
 pub use var::{Var, VarKind};

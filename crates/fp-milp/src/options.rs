@@ -142,14 +142,6 @@ pub struct SolveOptions {
     pub node_limit: usize,
     /// Wall-clock budget for the whole solve.
     pub time_limit: Duration,
-    /// Worker threads for the branch-and-bound search. Values `<= 1` select
-    /// the serial solver, which visits nodes in a deterministic dive-first
-    /// DFS order; larger values share the frontier between that many
-    /// workers, which reach the same proven optimum but may differ in node
-    /// counts and in which optimal vertex is reported. Defaults to `1`, so
-    /// the same model gives the same answer on any machine; parallel search
-    /// is opt-in through [`SolveOptions::with_threads`].
-    pub threads: usize,
     /// An externally known objective value (in the model's sense) that the
     /// search must strictly beat — typically the cost of a solution another
     /// solver already holds. Branch-and-bound prunes against it from the
@@ -186,7 +178,6 @@ impl Default for SolveOptions {
         SolveOptions {
             node_limit: 200_000,
             time_limit: Duration::from_secs(120),
-            threads: 1,
             initial_upper_bound: f64::INFINITY,
             stop: StopFlag::disabled(),
             basis_store: None,
@@ -209,14 +200,6 @@ impl SolveOptions {
     #[must_use]
     pub fn with_time_limit(mut self, limit: Duration) -> Self {
         self.time_limit = limit;
-        self
-    }
-
-    /// Returns options running the search on `threads` workers. `1` (or `0`,
-    /// which is treated as `1`) selects the deterministic serial solver.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
         self
     }
 
@@ -277,7 +260,6 @@ mod tests {
             assert!(PRESOLVE_PASSES >= 1);
         }
         assert!(o.node_limit > 1_000);
-        assert_eq!(o.threads, 1);
         assert_eq!(o.switches, Switches::PRODUCTION);
         assert!(o.switches.warm_start && o.switches.strengthen);
         assert_eq!(o.switches.kernel, None);
@@ -345,11 +327,5 @@ mod tests {
         assert_eq!((o.basis_load_key, o.basis_publish_key), (3, 9));
         // Identity equality, like StopFlag: a clone of the handle is equal.
         assert_eq!(o.clone(), o);
-    }
-
-    #[test]
-    fn with_threads_sets_field() {
-        assert_eq!(SolveOptions::default().with_threads(4).threads, 4);
-        assert_eq!(SolveOptions::default().with_threads(1).threads, 1);
     }
 }

@@ -13,30 +13,6 @@ pub enum Optimality {
     Limit,
 }
 
-/// Per-worker slice of the search statistics.
-///
-/// Entry `i` of [`SolveStats::per_thread`] counts the work done by worker
-/// `i`. In a serial solve there is exactly one entry; in a parallel solve
-/// the root relaxation (solved on the calling thread before workers start)
-/// is attributed to entry `0`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ThreadStats {
-    /// Branch-and-bound nodes this worker solved the LP relaxation of.
-    pub nodes: usize,
-    /// Simplex pivots this worker performed.
-    pub simplex_iterations: usize,
-    /// Nodes solved warm (dual simplex from the parent's basis).
-    pub warm_nodes: usize,
-    /// Nodes solved cold (two-phase primal), including warm fallbacks.
-    pub cold_nodes: usize,
-    /// Basis LU (re)factorizations this worker performed (sparse kernel;
-    /// always `0` on the dense tableau).
-    pub refactorizations: usize,
-    /// Eta-file basis updates this worker recorded between
-    /// refactorizations (sparse kernel; always `0` on the dense tableau).
-    pub eta_updates: usize,
-}
-
 /// Search statistics reported alongside a [`Solution`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SolveStats {
@@ -44,9 +20,10 @@ pub struct SolveStats {
     pub nodes: usize,
     /// Total simplex pivots across all nodes.
     pub simplex_iterations: usize,
-    /// Nodes whose LP was solved warm from the parent's basis. The root is
-    /// always cold, so `warm_nodes + cold_nodes == nodes` with
-    /// `cold_nodes >= 1` on any solve that reached the root LP.
+    /// Nodes whose LP was solved warm: from the parent's basis, or at the
+    /// root from the basis the root cut loop committed (or a cross-solve
+    /// [`BasisStore`](crate::BasisStore) seed). Every node is counted once,
+    /// warm or cold, so `warm_nodes + cold_nodes == nodes`.
     pub warm_nodes: usize,
     /// Nodes solved by the cold two-phase primal (including warm attempts
     /// that fell back on numerical trouble).
@@ -60,10 +37,6 @@ pub struct SolveStats {
     pub eta_updates: usize,
     /// Wall-clock time of the solve.
     pub elapsed: Duration,
-    /// Worker threads the search ran on (`1` for a serial solve).
-    pub threads: usize,
-    /// Per-worker node and pivot counts; length equals [`threads`](Self::threads).
-    pub per_thread: Vec<ThreadStats>,
     /// Classic presolve fixpoint passes actually run (at most 4).
     pub presolve_passes: usize,
     /// Rows whose big-M / binary coefficients were tightened at the root.

@@ -1,9 +1,8 @@
 //! Dense vs sparse kernel equivalence: the sparse revised simplex is a
 //! performance lever, never a semantics lever. Every suite here solves the
 //! same model on the dense reference tableau and on the sparse LU + eta-file
-//! kernel (both forced through `test_support::force_kernel`), serial and
-//! parallel, and requires identical proven objectives and identical
-//! feasibility verdicts.
+//! kernel (both forced through `test_support::force_kernel`) and requires
+//! identical proven objectives and identical feasibility verdicts.
 //! Degenerate structure — duplicated equalities, rank-deficient row sets,
 //! zero-cost ties — gets its own cases, and a highly degenerate instance
 //! runs under a hard pivot-count watchdog so a cycling regression fails
@@ -11,7 +10,7 @@
 
 mod common;
 
-use common::{classic_cases, parallel, random_milp, serial};
+use common::{classic_cases, random_milp};
 use fp_milp::test_support::{force_kernel, refactor_interval};
 use fp_milp::{LinExpr, Model, Optimality, Sense, Solution, SolveError, SolveOptions, Var};
 use std::sync::mpsc;
@@ -27,16 +26,12 @@ fn close(a: f64, b: f64) -> bool {
     (a - b).abs() <= TOL * (1.0 + a.abs().max(b.abs()))
 }
 
-fn dense_serial() -> SolveOptions {
-    force_kernel(serial(), false)
+fn dense() -> SolveOptions {
+    force_kernel(SolveOptions::default(), false)
 }
 
-fn sparse_serial() -> SolveOptions {
-    force_kernel(serial(), true)
-}
-
-fn sparse_parallel() -> SolveOptions {
-    force_kernel(parallel(), true)
+fn sparse() -> SolveOptions {
+    force_kernel(SolveOptions::default(), true)
 }
 
 /// Solves `model` under `opts` expecting proven optimality and a feasible
@@ -60,7 +55,7 @@ fn proven(model: &Model, opts: &SolveOptions, what: &str) -> Solution {
 /// [`proven`] on the dense reference tableau, which must report no
 /// factorization work.
 fn proven_dense(model: &Model, what: &str) -> Solution {
-    let sol = proven(model, &dense_serial(), what);
+    let sol = proven(model, &dense(), what);
     let stats = sol.stats();
     assert_eq!(
         (stats.refactorizations, stats.eta_updates),
@@ -70,28 +65,20 @@ fn proven_dense(model: &Model, what: &str) -> Solution {
     sol
 }
 
-/// Solves dense-serial, sparse-serial and sparse-parallel and requires the
-/// three proven objectives to coincide; returns the agreed objective.
-fn assert_three_way(model: &Model, what: &str) -> f64 {
-    let dense = proven_dense(model, &format!("{what} [dense]")).objective();
-    let sparse = proven(model, &sparse_serial(), &format!("{what} [sparse]")).objective();
-    let par = proven(model, &sparse_parallel(), &format!("{what} [sparse-par]")).objective();
-    assert!(
-        close(dense, sparse),
-        "{what}: dense {dense} != sparse {sparse}"
-    );
-    assert!(
-        close(dense, par),
-        "{what}: dense {dense} != sparse-parallel {par}"
-    );
-    dense
+/// Solves on both kernels and requires the two proven objectives to
+/// coincide; returns the agreed objective.
+fn assert_kernels_agree(model: &Model, what: &str) -> f64 {
+    let d = proven_dense(model, &format!("{what} [dense]")).objective();
+    let s = proven(model, &sparse(), &format!("{what} [sparse]")).objective();
+    assert!(close(d, s), "{what}: dense {d} != sparse {s}");
+    d
 }
 
 #[test]
 fn classics_agree_dense_vs_sparse() {
     for (name, build) in classic_cases() {
         let (model, expected) = build();
-        let obj = assert_three_way(&model, name);
+        let obj = assert_kernels_agree(&model, name);
         assert!(
             close(obj, expected),
             "{name}: {obj} != known optimum {expected}"
@@ -107,7 +94,7 @@ fn classics_agree_dense_vs_sparse() {
 fn size_rule_matches_forced_kernels() {
     for (name, build) in classic_cases() {
         let (model, expected) = build();
-        let obj = proven(&model, &serial(), &format!("{name} [auto]")).objective();
+        let obj = proven(&model, &SolveOptions::default(), &format!("{name} [auto]")).objective();
         assert!(
             close(obj, expected),
             "{name} [auto]: {obj} != known optimum {expected}"
@@ -122,11 +109,9 @@ fn seeded_models_agree_dense_vs_sparse() {
         let model = random_milp(seed);
         let what = format!("seed {seed}");
         let dense = proven_dense(&model, &format!("{what} [dense]"));
-        let sparse = proven(&model, &sparse_serial(), &format!("{what} [sparse]"));
-        let par = proven(&model, &sparse_parallel(), &format!("{what} [sparse-par]"));
-        let (d, s, p) = (dense.objective(), sparse.objective(), par.objective());
+        let sparse = proven(&model, &sparse(), &format!("{what} [sparse]"));
+        let (d, s) = (dense.objective(), sparse.objective());
         assert!(close(d, s), "{what}: dense {d} != sparse {s}");
-        assert!(close(d, p), "{what}: dense {d} != sparse-parallel {p}");
         refactors += sparse.stats().refactorizations;
     }
     // Every sparse node LP factorizes at least once on load, so a sweep
@@ -150,7 +135,7 @@ fn duplicated_equalities_agree() {
     }
     m.add_le(x - 4.0 * b, 0.0);
     m.set_objective(2.0 * x + y + 3.0 * b);
-    let obj = assert_three_way(&m, "duplicated_equalities");
+    let obj = assert_kernels_agree(&m, "duplicated_equalities");
     assert!(close(obj, 13.0), "{obj} != 13");
 }
 
@@ -165,11 +150,7 @@ fn contradictory_duplicates_are_infeasible_on_both_kernels() {
     m.add_eq(x + y, 1.0);
     m.add_eq(x + y, 2.0);
     m.set_objective(x + y);
-    for (opts, what) in [
-        (dense_serial(), "dense"),
-        (sparse_serial(), "sparse"),
-        (sparse_parallel(), "sparse-parallel"),
-    ] {
+    for (opts, what) in [(dense(), "dense"), (sparse(), "sparse")] {
         assert_eq!(
             m.solve_with(&opts).map(|s| s.objective()),
             Err(SolveError::Infeasible),
@@ -192,7 +173,7 @@ fn rank_deficient_rows_agree() {
     m.add_ge(3.0 * x + 3.0 * y, 12.0); // and again, rescaled
     m.add_ge(1.0 * z - 0.5 * x, 0.0);
     m.set_objective(x + 2.0 * y + 3.0 * z);
-    let obj = assert_three_way(&m, "rank_deficient_rows");
+    let obj = assert_kernels_agree(&m, "rank_deficient_rows");
     assert!(close(obj, 8.0), "{obj} != 8");
 }
 
@@ -214,7 +195,7 @@ fn zero_cost_ties_agree() {
     // Uniform costs: the objective is 5 at every feasible point.
     let obj: LinExpr = x.iter().flatten().map(|&v| 1.25 * v).sum();
     m.set_objective(obj);
-    let got = assert_three_way(&m, "zero_cost_ties");
+    let got = assert_kernels_agree(&m, "zero_cost_ties");
     assert!(close(got, 5.0), "{got} != 5");
 }
 
@@ -245,7 +226,7 @@ fn degenerate_instance_respects_pivot_watchdog() {
     let cost: LinExpr = x.iter().flatten().map(|&v| 2.0 * v).sum();
     m.set_objective(cost + 0.5 * pick);
 
-    for (opts, what) in [(dense_serial(), "dense"), (sparse_serial(), "sparse")] {
+    for (opts, what) in [(dense(), "dense"), (sparse(), "sparse")] {
         let (tx, rx) = mpsc::channel();
         let model = m.clone();
         std::thread::spawn(move || {
@@ -278,7 +259,7 @@ fn refactor_interval_extremes_agree() {
         let what = format!("seed {seed}");
         let reference = proven_dense(&model, &format!("{what} [dense]")).objective();
         for interval in [1usize, 1_000_000] {
-            let opts = refactor_interval(sparse_serial(), interval);
+            let opts = refactor_interval(sparse(), interval);
             let got = proven(&model, &opts, &format!("{what} [interval {interval}]")).objective();
             assert!(
                 close(reference, got),

@@ -2,12 +2,12 @@
 //! root cuts are a performance lever, never a semantics lever. Every suite
 //! solves the same model with strengthening off
 //! (`test_support::unstrengthened`, the pre-strengthening behavior) and on,
-//! serial and parallel, and requires identical proven objectives plus
-//! feasibility of the returned point in the *original* model.
+//! and requires identical proven objectives plus feasibility of the
+//! returned point in the *original* model.
 
 mod common;
 
-use common::{classic_cases, parallel, random_milp, serial};
+use common::{classic_cases, random_milp};
 use fp_milp::test_support::{cold, starved, unstrengthened};
 use fp_milp::{Model, Optimality, Solution, SolveOptions};
 
@@ -43,7 +43,7 @@ fn proven(model: &Model, opts: &SolveOptions, what: &str) -> f64 {
 /// [`proven`] with strengthening switched off: no strengthening counter
 /// may move.
 fn proven_off(model: &Model, what: &str) -> f64 {
-    let sol = proven_solution(model, &unstrengthened(serial()), what);
+    let sol = proven_solution(model, &unstrengthened(SolveOptions::default()), what);
     let stats = sol.stats();
     assert_eq!(
         (
@@ -63,14 +63,9 @@ fn classics_agree_strengthen_on_vs_off() {
     for (name, build) in classic_cases() {
         let (model, expected) = build();
         let off = proven_off(&model, name);
-        let on = proven(&model, &serial(), name);
-        let par_on = proven(&model, &parallel(), name);
+        let on = proven(&model, &SolveOptions::default(), name);
         assert!(close(off, expected), "{name}: off {off} != {expected}");
         assert!(close(on, expected), "{name}: on {on} != {expected}");
-        assert!(
-            close(par_on, expected),
-            "{name}: parallel on {par_on} != {expected}"
-        );
     }
 }
 
@@ -81,19 +76,19 @@ fn seeded_models_agree_strengthen_on_vs_off() {
         let model = random_milp(seed);
         let what = format!("seed {seed}");
         let off = proven_off(&model, &what);
-        let on_sol = model.solve_with(&serial()).expect("feasible");
+        let on_sol = model
+            .solve_with(&SolveOptions::default())
+            .expect("feasible");
         assert_eq!(on_sol.optimality(), Optimality::Proven, "{what}");
         assert!(
             model.is_feasible(on_sol.values(), FEAS_TOL),
             "{what}: strengthened point infeasible in the original model"
         );
-        let par = proven(&model, &parallel(), &what);
         assert!(
             close(off, on_sol.objective()),
             "{what}: on {} != off {off}",
             on_sol.objective()
         );
-        assert!(close(off, par), "{what}: parallel {par} != off {off}");
         let stats = on_sol.stats();
         engaged +=
             stats.rows_tightened + stats.binaries_fixed + stats.implications + stats.cuts_added;
@@ -115,7 +110,7 @@ fn zero_budgets_match_off_objectives() {
         let model = random_milp(seed);
         let what = format!("starved seed {seed}");
         let off = proven_off(&model, &what);
-        let starved_obj = proven(&model, &starved(serial()), &what);
+        let starved_obj = proven(&model, &starved(SolveOptions::default()), &what);
         assert!(
             close(off, starved_obj),
             "{what}: starved {starved_obj} != off {off}"
@@ -129,7 +124,7 @@ fn zero_budgets_match_off_objectives() {
 fn strengthening_composes_with_cold_solves() {
     for (name, build) in classic_cases() {
         let (model, expected) = build();
-        let cold_on = proven(&model, &cold(serial()), name);
+        let cold_on = proven(&model, &cold(SolveOptions::default()), name);
         assert!(
             close(cold_on, expected),
             "{name}: cold+strengthen {cold_on} != {expected}"

@@ -142,11 +142,10 @@ fn deterministic_resolve() {
         .map(|(i, &v)| ((i % 7) as f64 + 1.0) * v)
         .sum();
     m.set_objective(val);
-    // threads = 1 is the solver's determinism contract: parallel searches
-    // reach the same optimum but may report a different optimal vertex.
-    let opts = SolveOptions::default().with_threads(1);
-    let a = m.solve_with(&opts).unwrap();
-    let b = m.solve_with(&opts).unwrap();
+    // The serial search is the solver's determinism contract: the same
+    // model gives the same optimal vertex on every run.
+    let a = m.solve().unwrap();
+    let b = m.solve().unwrap();
     assert_eq!(a.values(), b.values());
     assert_eq!(a.objective(), b.objective());
 }

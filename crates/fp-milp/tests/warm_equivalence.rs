@@ -1,11 +1,11 @@
 //! Warm-start equivalence: warm-started dual simplex is a performance
 //! lever, never a semantics lever. Every suite here solves the same model
-//! cold (`test_support::cold`, the pre-warm-start behavior) and warm,
-//! serial and parallel, and requires identical proven objectives.
+//! cold (`test_support::cold`, the pre-warm-start behavior) and warm, and
+//! requires identical proven objectives.
 
 mod common;
 
-use common::{classic_cases, parallel, random_milp, serial};
+use common::{classic_cases, random_milp};
 use fp_milp::test_support::{cold, warm_pivot_cap};
 use fp_milp::{Model, Optimality, Sense, Solution, SolveOptions};
 
@@ -40,7 +40,7 @@ fn proven(model: &Model, opts: &SolveOptions, what: &str) -> f64 {
 
 /// [`proven`] with warm starts switched off: no node may warm-start.
 fn proven_cold(model: &Model, what: &str) -> f64 {
-    let sol = proven_solution(model, &cold(serial()), what);
+    let sol = proven_solution(model, &cold(SolveOptions::default()), what);
     assert_eq!(
         sol.stats().warm_nodes,
         0,
@@ -54,14 +54,9 @@ fn classics_agree_cold_vs_warm() {
     for (name, build) in classic_cases() {
         let (model, expected) = build();
         let cold = proven_cold(&model, name);
-        let warm = proven(&model, &serial(), name);
-        let par_warm = proven(&model, &parallel(), name);
+        let warm = proven(&model, &SolveOptions::default(), name);
         assert!(close(cold, expected), "{name}: cold {cold} != {expected}");
         assert!(close(warm, expected), "{name}: warm {warm} != {expected}");
-        assert!(
-            close(par_warm, expected),
-            "{name}: parallel warm {par_warm} != {expected}"
-        );
     }
 }
 
@@ -72,15 +67,15 @@ fn seeded_models_agree_cold_vs_warm() {
         let model = random_milp(seed);
         let what = format!("seed {seed}");
         let cold = proven_cold(&model, &what);
-        let warm_sol = model.solve_with(&serial()).expect("feasible");
+        let warm_sol = model
+            .solve_with(&SolveOptions::default())
+            .expect("feasible");
         assert_eq!(warm_sol.optimality(), Optimality::Proven, "{what}");
-        let par = proven(&model, &parallel(), &what);
         assert!(
             close(cold, warm_sol.objective()),
             "{what}: warm {} != cold {cold}",
             warm_sol.objective()
         );
-        assert!(close(cold, par), "{what}: parallel {par} != cold {cold}");
         warm_total += warm_sol.stats().warm_nodes;
     }
     // Individually a tiny tree may solve all-cold; across 20 seeds the
@@ -111,7 +106,7 @@ fn degenerate_duplicated_rows_fall_back_and_stay_correct() {
         m
     };
     let cold = proven_cold(&build(), "degenerate cold");
-    let warm = proven(&build(), &serial(), "degenerate warm");
+    let warm = proven(&build(), &SolveOptions::default(), "degenerate warm");
     assert!(close(cold, warm), "degenerate: warm {warm} != cold {cold}");
 }
 
@@ -123,7 +118,7 @@ fn tiny_pivot_cap_only_costs_time() {
         let model = random_milp(seed);
         let what = format!("capped seed {seed}");
         let cold = proven_cold(&model, &what);
-        let capped_opts = warm_pivot_cap(serial(), 1);
+        let capped_opts = warm_pivot_cap(SolveOptions::default(), 1);
         let capped_sol = model.solve_with(&capped_opts).expect("feasible");
         assert_eq!(capped_sol.optimality(), Optimality::Proven, "{what}");
         assert!(

@@ -25,17 +25,6 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Which IO front end [`crate::Server::bind`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IoMode {
-    /// Sharded event loop: nonblocking sockets, one poll thread per
-    /// shard, load-shedding admission. The default.
-    Event,
-    /// The original two-threads-per-connection design with blocking
-    /// admission (kept for comparison benchmarks).
-    Threaded,
-}
-
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -57,8 +46,6 @@ pub struct ServeConfig {
     /// Whether identical concurrent jobs may share one solve
     /// (single-flight coalescing); requests can opt out per job.
     pub coalesce: bool,
-    /// Which TCP front end to run.
-    pub io: IoMode,
     /// Event-loop shard (poll thread) count.
     pub shards: usize,
     /// Per-shard bound on decoded-but-unanswered jobs; excess requests
@@ -104,7 +91,6 @@ impl Default for ServeConfig {
             time_limit: Duration::from_secs(10),
             improve_rounds: 1,
             coalesce: true,
-            io: IoMode::Event,
             shards: std::thread::available_parallelism()
                 .map_or(1, std::num::NonZeroUsize::get)
                 .min(4),
@@ -152,13 +138,6 @@ impl ServeConfig {
     #[must_use]
     pub fn with_coalesce(mut self, on: bool) -> Self {
         self.coalesce = on;
-        self
-    }
-
-    /// Selects the TCP front end.
-    #[must_use]
-    pub fn with_io(mut self, io: IoMode) -> Self {
-        self.io = io;
         self
     }
 
@@ -285,7 +264,8 @@ impl SolverCounters {
 
 /// Where one waiter's answer goes.
 pub(crate) enum Reply {
-    /// An mpsc channel (in-process clients and the threaded front end).
+    /// An mpsc channel (in-process clients and the non-unix
+    /// thread-per-connection front end).
     Channel(mpsc::Sender<JobResponse>),
     /// A connection owned by an event-loop shard: the response line is
     /// handed to the shard's inbox and the shard writes it.
@@ -510,9 +490,10 @@ impl Engine {
     }
 
     /// `(warm, cold)` branch-and-bound node counts accumulated over every
-    /// augmentation pipeline this engine has run. Warm nodes reused the
-    /// parent's simplex basis; cold nodes ran the two-phase primal from
-    /// scratch (the root of every solve is always cold).
+    /// augmentation pipeline this engine has run. Warm nodes reused a
+    /// simplex basis (the parent's, or at the root the one the root cut
+    /// loop committed); cold nodes ran the two-phase primal from scratch.
+    /// Every node is counted once, so the two sum to the nodes solved.
     #[must_use]
     pub fn solver_stats(&self) -> (u64, u64) {
         self.shared.solver.snapshot()
@@ -520,7 +501,9 @@ impl Engine {
 
     /// `(rows_tightened, binaries_fixed, cuts_added)` accumulated by the
     /// root model-strengthening layer over every step MILP this engine has
-    /// solved. All three stay zero when jobs disable strengthening.
+    /// solved. Strengthening runs on every solve; the counters stay zero
+    /// only while no solved model offered a row to tighten, a binary to
+    /// fix or a cut to add.
     #[must_use]
     pub fn strengthening_stats(&self) -> (u64, u64, u64) {
         self.shared.solver.strengthening_snapshot()
@@ -608,10 +591,10 @@ impl Client {
         rx
     }
 
-    /// Enqueues `req` with the response routed to `reply` — the threaded
-    /// TCP front end funnels every job of one connection into one writer
-    /// this way. A closed engine answers immediately with a failure
-    /// response. Blocks while the queue is full.
+    /// Enqueues `req` with the response routed to `reply` — the non-unix
+    /// thread-per-connection TCP front end funnels every job of one
+    /// connection into one writer this way. A closed engine answers
+    /// immediately with a failure response. Blocks while the queue is full.
     pub fn submit_with(&self, req: JobRequest, reply: mpsc::Sender<JobResponse>) {
         submit(&self.shared, req, Reply::Channel(reply), Admission::Block);
     }
@@ -898,7 +881,6 @@ fn process(job: &Job, shared: &Shared) -> JobResponse {
             fp_milp::SolveOptions::default()
                 .with_node_limit(config.node_limit)
                 .with_time_limit(config.time_limit)
-                .with_threads(1)
                 .with_basis_store(Arc::clone(&shared.basis), load_key, job.key),
         )
         // The driver re-budgets every augmentation/re-optimization MILP

@@ -29,9 +29,8 @@
 //!   trace events.
 //! * **A sharded event-loop TCP front end** ([`Server`]): nonblocking
 //!   sockets, one poll(2) thread per shard owning its connections' buffers
-//!   and framing ([`IoMode::Event`]); the original thread-per-connection
-//!   design survives as [`IoMode::Threaded`] for comparison. Plus an
-//!   in-process [`Client`] for embedding and benches.
+//!   and framing (unix; other targets fall back to a thread per
+//!   connection). Plus an in-process [`Client`] for embedding and benches.
 //!
 //! # Example
 //!
@@ -67,7 +66,7 @@ pub mod singleflight;
 mod sys;
 
 pub use delta::{apply as apply_delta, parse_ops as parse_delta_ops, DeltaOp, DeltaOutcome};
-pub use engine::{Client, Engine, EngineStats, IoMode, ServeConfig};
+pub use engine::{Client, Engine, EngineStats, ServeConfig};
 pub use portfolio::{race, Backend, RaceOutcome};
 pub use protocol::{JobRequest, JobResponse, PlacedRect};
 pub use server::{ServeAccounting, Server, ShutdownReport};

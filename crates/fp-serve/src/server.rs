@@ -1,33 +1,27 @@
-//! The TCP front ends over an [`Engine`]: the sharded event loop
-//! (default) and the original thread-per-connection design (kept for
-//! old-vs-new comparison benchmarks).
+//! The TCP front end over an [`Engine`]: a sharded event loop. The
+//! acceptor round-robins connections across poll-loop shards
+//! ([`crate::shard`]); requests are admitted with shedding (typed
+//! `retry_after_ms` on overload) and shutdown drains every accepted job
+//! before closing.
 //!
-//! Both speak the same line-delimited protocol; they differ in who owns
-//! a connection and what happens under load:
-//!
-//! * [`IoMode::Event`] — the acceptor round-robins connections across
-//!   poll-loop shards ([`crate::shard`]); requests are admitted with
-//!   shedding (typed `retry_after_ms` on overload) and shutdown drains
-//!   every accepted job before closing.
-//! * [`IoMode::Threaded`] — one reader and one writer thread per
-//!   connection, blocking admission (submitters stall while the queue
-//!   is full).
+//! The poll shim is unix-only, so other targets run a thread-per-connection
+//! front end instead: one reader and one writer thread per connection,
+//! blocking admission (submitters stall while the queue is full).
 
-use crate::engine::{Client, Engine, EngineStats, IoMode, ServeConfig};
-use crate::protocol::{JobRequest, JobResponse};
-use std::io::{BufRead, BufReader, Write};
+use crate::engine::{Engine, EngineStats, ServeConfig};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// Request/connection accounting aggregated over the whole front end.
 ///
-/// In event mode, after [`Server::shutdown`] the books balance:
+/// After [`Server::shutdown`] the books balance:
 /// `accepted == completed + shed` (every decoded request got exactly one
 /// answer; `malformed` lines are answered too but counted separately).
-/// In threaded mode the fields are derived from [`EngineStats`] —
-/// `conns` and `malformed` are not tracked there and read 0.
+/// On non-unix targets (no event loop) the fields are derived from
+/// [`EngineStats`] — `conns` and `malformed` are not tracked there and
+/// read 0.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeAccounting {
     /// Connections ever accepted.
@@ -47,8 +41,7 @@ pub struct ServeAccounting {
 /// and the engine books, both final (every shard and worker joined).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ShutdownReport {
-    /// Final front-end accounting (`accepted == completed + shed` in
-    /// event mode).
+    /// Final front-end accounting (`accepted == completed + shed`).
     pub accounting: ServeAccounting,
     /// Final engine accounting (`submitted == answered + shed`).
     pub engine: EngineStats,
@@ -57,7 +50,7 @@ pub struct ShutdownReport {
 /// A line-delimited TCP front end over an [`Engine`].
 ///
 /// Malformed lines get an `ok: false` response instead of killing the
-/// connection in both modes.
+/// connection.
 pub struct Server {
     engine: Option<Engine>,
     local: SocketAddr,
@@ -73,9 +66,9 @@ pub struct Server {
 
 impl Server {
     /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and starts
-    /// accepting connections backed by a fresh engine, in the IO mode
-    /// `config.io` selects (non-unix targets always get the threaded
-    /// front end — the poll shim is unix-only).
+    /// accepting connections backed by a fresh engine and the sharded event
+    /// loop (non-unix targets get the thread-per-connection front end — the
+    /// poll shim is unix-only).
     ///
     /// # Errors
     ///
@@ -85,9 +78,6 @@ impl Server {
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         #[cfg(unix)]
-        let event_mode = config.io == IoMode::Event;
-        #[cfg(not(unix))]
-        let event_mode = false;
         let shard_count = config.shards.max(1);
         let engine = Engine::start(config);
 
@@ -95,57 +85,29 @@ impl Server {
         let mut shard_shareds = Vec::new();
         #[cfg(unix)]
         let mut shard_threads = Vec::new();
-        let acceptor: JoinHandle<()>;
-        if event_mode {
-            #[cfg(unix)]
-            {
-                for index in 0..shard_count {
-                    let handle = crate::shard::spawn(index, Arc::clone(engine.shared()))?;
-                    shard_shareds.push(handle.shared);
-                    shard_threads.push(handle.thread);
-                }
-                let targets = shard_shareds.clone();
-                let stop = Arc::clone(&stop);
-                acceptor = std::thread::spawn(move || {
-                    for (i, stream) in listener.incoming().enumerate() {
-                        if stop.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        match stream {
-                            Ok(stream) => targets[i % targets.len()].adopt(stream),
-                            Err(_) => break,
-                        }
-                    }
-                });
+        #[cfg(unix)]
+        let acceptor = {
+            for index in 0..shard_count {
+                let handle = crate::shard::spawn(index, Arc::clone(engine.shared()))?;
+                shard_shareds.push(handle.shared);
+                shard_threads.push(handle.thread);
             }
-            #[cfg(not(unix))]
-            {
-                let _ = shard_count;
-                unreachable!("event mode is unix-only");
-            }
-        } else {
-            let _ = shard_count;
-            let client = engine.client();
+            let targets = shard_shareds.clone();
             let stop = Arc::clone(&stop);
-            acceptor = std::thread::spawn(move || {
-                for stream in listener.incoming() {
+            std::thread::spawn(move || {
+                for (i, stream) in listener.incoming().enumerate() {
                     if stop.load(Ordering::Relaxed) {
                         break;
                     }
                     match stream {
-                        Ok(stream) => {
-                            // Responses are single small lines in a
-                            // request-reply exchange; Nagle + delayed ACK
-                            // would add tens of milliseconds to each.
-                            let _ = stream.set_nodelay(true);
-                            let client = client.clone();
-                            std::thread::spawn(move || handle_connection(stream, &client));
-                        }
+                        Ok(stream) => targets[i % targets.len()].adopt(stream),
                         Err(_) => break,
                     }
                 }
-            });
-        }
+            })
+        };
+        #[cfg(not(unix))]
+        let acceptor = threaded::spawn_acceptor(listener, engine.client(), Arc::clone(&stop));
         Ok(Server {
             engine: Some(engine),
             local,
@@ -210,26 +172,28 @@ impl Server {
     }
 
     /// Front-end accounting (see [`ServeAccounting`] for the invariant
-    /// and the threaded-mode caveats).
+    /// and the non-unix caveats).
     #[must_use]
     pub fn accounting(&self) -> ServeAccounting {
         self.accounting_with(self.engine_stats())
     }
 
-    fn accounting_with(&self, engine: EngineStats) -> ServeAccounting {
-        #[cfg(unix)]
-        if !self.shard_shareds.is_empty() {
-            let mut acc = ServeAccounting::default();
-            for s in &self.shard_shareds {
-                let (conns, accepted, completed, shed, malformed) = s.counters();
-                acc.conns += conns;
-                acc.accepted += accepted;
-                acc.completed += completed;
-                acc.shed += shed;
-                acc.malformed += malformed;
-            }
-            return acc;
+    #[cfg(unix)]
+    fn accounting_with(&self, _engine: EngineStats) -> ServeAccounting {
+        let mut acc = ServeAccounting::default();
+        for s in &self.shard_shareds {
+            let (conns, accepted, completed, shed, malformed) = s.counters();
+            acc.conns += conns;
+            acc.accepted += accepted;
+            acc.completed += completed;
+            acc.shed += shed;
+            acc.malformed += malformed;
         }
+        acc
+    }
+
+    #[cfg(not(unix))]
+    fn accounting_with(&self, engine: EngineStats) -> ServeAccounting {
         ServeAccounting {
             conns: 0,
             accepted: engine.submitted,
@@ -304,44 +268,82 @@ impl Drop for Server {
     }
 }
 
-/// The threaded front end's per-connection loop: a reader thread (this
-/// one) decoding lines and a writer thread funneling responses (possibly
-/// out of request order) back.
-fn handle_connection(stream: TcpStream, client: &Client) {
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let (tx, rx) = mpsc::channel::<JobResponse>();
-    let mut write_half = stream;
-    let writer = std::thread::spawn(move || {
-        while let Ok(resp) = rx.recv() {
-            if writeln!(write_half, "{}", resp.encode()).is_err() {
-                break;
-            }
-            let _ = write_half.flush();
-        }
-    });
+/// The thread-per-connection front end of targets without the poll shim.
+#[cfg(not(unix))]
+mod threaded {
+    use crate::engine::Client;
+    use crate::protocol::{JobRequest, JobResponse};
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::{TcpListener, TcpStream};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{mpsc, Arc};
+    use std::thread::JoinHandle;
 
-    for line in BufReader::new(read_half).lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
-        }
-        match JobRequest::decode(&line) {
-            Ok(req) => client.submit_with(req, tx.clone()),
-            Err(e) => {
-                // Echo the id back when it is at least parseable so the
-                // caller can correlate the failure.
-                let id = fp_obs::parse_line(&line)
-                    .ok()
-                    .and_then(|p| p.num("id"))
-                    .unwrap_or(0.0) as u64;
-                let _ = tx.send(JobResponse::failure(id, format!("bad request: {e}")));
+    /// Accepts until `stop` is set, spawning one connection handler each.
+    pub(super) fn spawn_acceptor(
+        listener: TcpListener,
+        client: Client,
+        stop: Arc<AtomicBool>,
+    ) -> JoinHandle<()> {
+        std::thread::spawn(move || {
+            for stream in listener.incoming() {
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
+                match stream {
+                    Ok(stream) => {
+                        // Responses are single small lines in a
+                        // request-reply exchange; Nagle + delayed ACK
+                        // would add tens of milliseconds to each.
+                        let _ = stream.set_nodelay(true);
+                        let client = client.clone();
+                        std::thread::spawn(move || handle_connection(stream, &client));
+                    }
+                    Err(_) => break,
+                }
+            }
+        })
+    }
+
+    /// The per-connection loop: a reader thread (this one) decoding lines
+    /// and a writer thread funneling responses (possibly out of request
+    /// order) back.
+    fn handle_connection(stream: TcpStream, client: &Client) {
+        let Ok(read_half) = stream.try_clone() else {
+            return;
+        };
+        let (tx, rx) = mpsc::channel::<JobResponse>();
+        let mut write_half = stream;
+        let writer = std::thread::spawn(move || {
+            while let Ok(resp) = rx.recv() {
+                if writeln!(write_half, "{}", resp.encode()).is_err() {
+                    break;
+                }
+                let _ = write_half.flush();
+            }
+        });
+
+        for line in BufReader::new(read_half).lines() {
+            let Ok(line) = line else { break };
+            if line.trim().is_empty() {
+                continue;
+            }
+            match JobRequest::decode(&line) {
+                Ok(req) => client.submit_with(req, tx.clone()),
+                Err(e) => {
+                    // Echo the id back when it is at least parseable so the
+                    // caller can correlate the failure.
+                    let id = fp_obs::parse_line(&line)
+                        .ok()
+                        .and_then(|p| p.num("id"))
+                        .unwrap_or(0.0) as u64;
+                    let _ = tx.send(JobResponse::failure(id, format!("bad request: {e}")));
+                }
             }
         }
+        // Reader done: once every in-flight job of this connection has
+        // answered, the last sender drops and the writer exits.
+        drop(tx);
+        let _ = writer.join();
     }
-    // Reader done: once every in-flight job of this connection has
-    // answered, the last sender drops and the writer exits.
-    drop(tx);
-    let _ = writer.join();
 }

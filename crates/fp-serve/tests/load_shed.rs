@@ -5,7 +5,7 @@
 #![cfg(unix)]
 
 use fp_netlist::generator::ProblemGenerator;
-use fp_serve::{IoMode, JobRequest, JobResponse, ServeConfig, Server};
+use fp_serve::{JobRequest, JobResponse, ServeConfig, Server};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -38,7 +38,6 @@ fn open_loop_overload_sheds_with_typed_backoff_and_bounded_p99() {
         // Tiny admission budget: 1 worker, queue of 2, at most 4
         // unanswered jobs per shard. Overload has to shed, not queue.
         let config = ServeConfig::default()
-            .with_io(IoMode::Event)
             .with_shards(1)
             .with_workers(1)
             .with_queue_capacity(2)

@@ -42,12 +42,13 @@ cargo bench --workspace --no-run -q
 # Observability: an end-to-end traced run must produce schema-valid JSONL
 # (each line parses as a flat object carrying numeric `seq` plus string
 # `phase`/`event`) and a non-empty per-phase summary. The trace suites
-# themselves (trace_invariants, trace_regression, traced_parallel) already
+# themselves (trace_invariants, trace_regression, traced_solve) already
 # ran under `cargo test --workspace` above.
 echo "== trace schema sanity (fp-cli --trace | validate_trace)"
 trace_file="$(mktemp --suffix=.jsonl)"
 summary_file="$(mktemp)"
-trap 'rm -f "$trace_file" "$summary_file"' EXIT
+plain_file="$(mktemp)"
+trap 'rm -f "$trace_file" "$summary_file" "$plain_file"' EXIT
 cargo run --release -q -p fp-cli -- --ami33 --trace "$trace_file" --summary \
     > "$summary_file"
 cargo run --release -q -p fp-obs --example validate_trace -- "$trace_file"
@@ -55,6 +56,17 @@ cargo run --release -q -p fp-obs --example validate_trace -- "$trace_file"
 # (the debug-build equivalent pin lives in fp-core's trace_regression).
 grep -q "0 greedy fallback" "$summary_file" \
     || { echo "check.sh: ami33 run reported greedy fallbacks"; exit 1; }
+# Determinism smoke: the solver is serial, so the same input gives the
+# same floorplan whatever the trace setting. An untraced ami33 run must
+# print the same report line (chip, area, utilization, steps, nodes) as
+# the traced run above once the wall-time field is dropped.
+echo "== determinism smoke (ami33 untraced vs traced report line)"
+cargo run --release -q -p fp-cli -- --ami33 > "$plain_file"
+traced_line="$(grep '^chip ' "$summary_file" | sed 's/  time [^ ]*$//')"
+plain_line="$(grep '^chip ' "$plain_file" | sed 's/  time [^ ]*$//')"
+[ -n "$traced_line" ] || { echo "check.sh: traced ami33 run printed no report line"; exit 1; }
+[ "$traced_line" = "$plain_line" ] \
+    || { echo "check.sh: ami33 answer depends on tracing:"; echo "  traced:   $traced_line"; echo "  untraced: $plain_line"; exit 1; }
 # Warm-start smoke: the branch-and-bound trees behind an ami33 run are
 # deep enough that at least one node must have reused its parent basis.
 # All-cold means the warm path silently stopped engaging (the ratio pin
@@ -80,7 +92,7 @@ grep -Eq '"event":"BnbNode".*"refactors":[1-9]' "$trace_file" \
 # against (per-instance `sparse` objects plus the two headline medians).
 echo "== milp_snapshot smoke"
 bench_json="$(mktemp --suffix=.json)"
-trap 'rm -f "$trace_file" "$summary_file" "$bench_json"' EXIT
+trap 'rm -f "$trace_file" "$summary_file" "$plain_file" "$bench_json"' EXIT
 cargo run --release -q -p fp-bench --bin milp_snapshot -- "$bench_json" \
     > /dev/null
 for key in '"sparse"' '"pivot_time_speedup"' '"median_sparse_pivot_time_speedup"' '"median_sparse_speedup"'; do
@@ -94,7 +106,7 @@ done
 # BENCH_GEOM.json is diffed against.
 echo "== geom_snapshot smoke (--max-n 100)"
 geom_json="$(mktemp --suffix=.json)"
-trap 'rm -f "$trace_file" "$summary_file" "$bench_json" "$geom_json"' EXIT
+trap 'rm -f "$trace_file" "$summary_file" "$plain_file" "$bench_json" "$geom_json"' EXIT
 cargo run --release -q -p fp-bench --bin geom_snapshot -- "$geom_json" --max-n 100 \
     > /dev/null
 [ -s "$geom_json" ] || { echo "check.sh: geom_snapshot wrote no output"; exit 1; }
@@ -112,7 +124,7 @@ echo "== service smoke (floorplan serve / load)"
 serve_log="$(mktemp)"
 serve_trace="$(mktemp --suffix=.jsonl)"
 load_log="$(mktemp)"
-trap 'rm -f "$trace_file" "$summary_file" "$bench_json" "$geom_json" "$serve_log" "$serve_trace" "$load_log"; kill "${serve_pid:-0}" 2>/dev/null || true' EXIT
+trap 'rm -f "$trace_file" "$summary_file" "$plain_file" "$bench_json" "$geom_json" "$serve_log" "$serve_trace" "$load_log"; kill "${serve_pid:-0}" 2>/dev/null || true' EXIT
 cargo build --release -q -p fp-cli
 ./target/release/floorplan serve --bind 127.0.0.1:0 --workers 2 \
     --trace "$serve_trace" > "$serve_log" 2>&1 &
@@ -147,7 +159,7 @@ echo "== overload smoke (coalescing + load shedding)"
 shed_log="$(mktemp)"
 shed_trace="$(mktemp --suffix=.jsonl)"
 shed_load="$(mktemp)"
-trap 'rm -f "$trace_file" "$summary_file" "$bench_json" "$geom_json" "$serve_log" "$serve_trace" "$load_log" "$shed_log" "$shed_trace" "$shed_load"; kill "${serve_pid:-0}" "${shed_pid:-0}" 2>/dev/null || true' EXIT
+trap 'rm -f "$trace_file" "$summary_file" "$plain_file" "$bench_json" "$geom_json" "$serve_log" "$serve_trace" "$load_log" "$shed_log" "$shed_trace" "$shed_load"; kill "${serve_pid:-0}" "${shed_pid:-0}" 2>/dev/null || true' EXIT
 ./target/release/floorplan serve --bind 127.0.0.1:0 --workers 1 --cache 0 \
     --queue 2 --pending 64 --trace "$shed_trace" > "$shed_log" 2>&1 &
 shed_pid=$!
@@ -196,7 +208,7 @@ eco_log="$(mktemp)"
 eco_trace="$(mktemp --suffix=.jsonl)"
 eco_load="$(mktemp)"
 eco_snap="$(mktemp -u --suffix=.jsonl)"
-trap 'rm -f "$trace_file" "$summary_file" "$bench_json" "$geom_json" "$serve_log" "$serve_trace" "$load_log" "$shed_log" "$shed_trace" "$shed_load" "$eco_log" "$eco_trace" "$eco_load" "$eco_snap"; kill "${serve_pid:-0}" "${shed_pid:-0}" "${eco_pid:-0}" 2>/dev/null || true' EXIT
+trap 'rm -f "$trace_file" "$summary_file" "$plain_file" "$bench_json" "$geom_json" "$serve_log" "$serve_trace" "$load_log" "$shed_log" "$shed_trace" "$shed_load" "$eco_log" "$eco_trace" "$eco_load" "$eco_snap"; kill "${serve_pid:-0}" "${shed_pid:-0}" "${eco_pid:-0}" 2>/dev/null || true' EXIT
 ./target/release/floorplan serve --bind 127.0.0.1:0 --workers 2 \
     --cache-file "$eco_snap" --trace "$eco_trace" > "$eco_log" 2>&1 &
 eco_pid=$!

@@ -79,10 +79,7 @@ fn pipeline_with_envelopes_and_routing() {
 fn determinism_same_seed_same_everything() {
     let run = || {
         let netlist = ProblemGenerator::new(9, 4242).generate();
-        // threads = 1 pins the deterministic serial solver: run-to-run
-        // identity is only guaranteed under the serial node order.
-        let cfg = fast().with_solver_threads(1);
-        let result = Floorplanner::with_config(&netlist, cfg).run().unwrap();
+        let result = Floorplanner::with_config(&netlist, fast()).run().unwrap();
         let routing = route(&result.floorplan, &netlist, &RouteConfig::default()).unwrap();
         (
             result.floorplan.chip_area(),
